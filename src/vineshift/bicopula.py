@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .statcore import kendall_tau, silverman_bandwidth
@@ -158,7 +157,13 @@ class KernelCopula:
         return float(out[0]) if scalar else out
 
     def h_inverse(self, p: float, v: float) -> float:
-        """Solve cdf_u_given_v(u, v) = p for u by bracketed root search."""
+        """Solve cdf_u_given_v(u, v) = p for u by bracketed root search.
+
+        An independent oracle for tests and demos; scipy.optimize is
+        imported here so that importing the package does not load it.
+        """
+        from scipy.optimize import brentq
+
         lo, hi = EPS, 1.0 - EPS
         flo = self.cdf_u_given_v(lo, v)
         fhi = self.cdf_u_given_v(hi, v)

@@ -1,12 +1,14 @@
 """CSV ingestion and the in-memory dataset container.
 
 CSV files are RFC-4180 style: UTF-8, comma separated, decimal points,
-a mandatory header row. Column order defines variable indices.
+a mandatory header row. Column order defines variable indices. Every
+cell must hold a finite number; nan and inf are parse errors.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +88,15 @@ def read_csv(path) -> Dataset:
             parsed = []
             for col, cell in zip(header, row):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {line_no}, column '{col}': non-numeric value {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {line_no}, column '{col}': non-finite value {cell!r}")
+                parsed.append(value)
             rows.append(parsed)
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
     return Dataset(header, X)

@@ -49,8 +49,7 @@ def default_grid(vine: VineModel, n_points: int = 257) -> YGrid:
     """Grid over the target marginal's expanded quantile range (raw units)."""
     y = _require_target(vine)
     marg = vine.marginals[y]
-    lo = marg.quantile(0.001)
-    hi = marg.quantile(0.999)
+    lo, hi = marg.quantile([0.001, 0.999])
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     if vine.norm_mean is not None:

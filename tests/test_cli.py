@@ -92,6 +92,17 @@ class TestFit:
         bad.write_text("a,b\n1,2\n3,oops\n")
         assert run("fit", bad, "-o", tmp_path / "m.json") == 2
 
+    def test_nan_cell_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "t.csv"
+        run("gen", "gaussian-copula-chain", "-o", train, "-n", 60, "-d", 3, "--seed", 4)
+        ds = read_csv(train)
+        ds.X[3, 1] = np.nan
+        write_csv(train, ds)
+        assert run("fit", train, "-o", tmp_path / "m.json") == 2
+        err = capsys.readouterr().err
+        assert "row 5, column 'x1': non-finite value 'nan'" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_too_few_rows_exits_3(self, tmp_path):
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("a,b\n1.0,2.0\n")
@@ -230,6 +241,18 @@ class TestMmdTest:
         assert run("mmd-test", a, tmp_path / "b.csv",
                    "--permutations", 100, "--seed", 0) == 1
         assert "distributions differ" in capsys.readouterr().out
+
+    def test_nan_cell_exits_2_without_verdict(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run("gen", "gaussian-copula-chain", "-o", a, "-n", 60, "-d", 3, "--seed", 21)
+        ds = read_csv(a)
+        ds.X[0, 0] = np.inf
+        write_csv(b, ds)
+        capsys.readouterr()
+        assert run("mmd-test", a, b, "--permutations", 50, "--seed", 0) == 2
+        captured = capsys.readouterr()
+        assert "row 2, column 'x0': non-finite value 'inf'" in captured.err
+        assert "verdict" not in captured.out
 
     def test_column_mismatch_exits_4(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -74,6 +74,13 @@ class TestReadCsv:
         with pytest.raises(ParseError, match="row 3, column 'b'"):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_diagnostic(self, tmp_path, cell):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"a,b\n1.0,2.0\n{cell},4.0\n")
+        with pytest.raises(ParseError, match="row 3, column 'a': non-finite"):
+            read_csv(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "bl.csv"
         path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\n")

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
+import vineshift
 from vineshift.errors import DegenerateDataError, InsufficientDataError
 from vineshift.statcore import (GaussianKernel1D, kendall_tau,
                                 pseudo_observations,
@@ -113,6 +119,22 @@ class TestGaussianKernel1D:
         p = np.array([0.01, 0.1, 0.5, 0.9, 0.99])
         assert_allclose(m.cdf(m.quantile(p)), p, atol=1e-10)
 
+    def test_quantile_array_matches_points_and_far_tails(self):
+        rng = np.random.default_rng(12)
+        m = GaussianKernel1D.fit(rng.standard_normal(300) * 3.0 - 2.0)
+        p = np.array([[1e-6, 0.001, 0.25], [0.5, 0.999, 1.0 - 1e-6]])
+        q = m.quantile(p)
+        assert q.shape == p.shape
+        assert_array_equal(q, [[m.quantile(float(pi)) for pi in row] for row in p])
+        assert_allclose(m.cdf(q), p, rtol=1e-10, atol=0.0)
+        assert isinstance(m.quantile(0.5), float)
+
+    def test_quantile_rejects_boundary(self):
+        m = GaussianKernel1D(centers=[0.0, 1.0], bandwidth=1.0)
+        for p in (0.0, 1.0, [0.5, 1.0]):
+            with pytest.raises(ValueError):
+                m.quantile(p)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianKernel1D(centers=[], bandwidth=1.0)
@@ -166,6 +188,34 @@ class TestKendallTau:
         with pytest.raises(InsufficientDataError):
             kendall_tau([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = np.arange(6.0)
+        y = np.array([0.0, 2.0, 1.0, 4.0, 3.0, 5.0])
+        y_bad = y.copy()
+        y_bad[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(x, y_bad)
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(y_bad, x)
+
+    def test_symmetric_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for case in range(100):
+            n = int(rng.integers(2, 400))
+            if case % 2:
+                x, y = rng.integers(0, max(2, n // 5), (2, n)).astype(float)
+            else:
+                x, y = rng.standard_normal((2, n))
+            assert kendall_tau(x, y) == kendall_tau(y, x)
+
+    def test_exact_on_large_tied_sample(self):
+        # dense y ranks well past a power of two, many ties in both
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 40, 1500).astype(float)
+        y = rng.integers(0, 1100, 1500).astype(float)
+        assert kendall_tau(x, y) == brute_tau(x, y)
+
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=25),
            st.data())
     @settings(max_examples=60, deadline=None)
@@ -208,6 +258,22 @@ class TestPseudoObservations:
         with pytest.raises(DegenerateDataError):
             rank_pseudo_observations(np.full(9, 2.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rank_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rank_pseudo_observations([1.0, bad, 3.0, 2.0])
+
+    # small integer ranges force ties; a wide range gives (almost) none
+    @given(st.one_of(st.lists(st.integers(-3, 3), min_size=2, max_size=60),
+                     st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60)))
+    @settings(max_examples=80, deadline=None)
+    def test_rank_equals_scipy_average_ranks(self, xs):
+        x = np.array(xs, dtype=float)
+        if np.all(x == x[0]):
+            return
+        expect = stats.rankdata(x, method="average") / (x.size + 1.0)
+        assert_array_equal(rank_pseudo_observations(x), expect)
+
     # integer grids keep exp() values exactly distinct in float
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=40,
                     unique=True))
@@ -226,3 +292,15 @@ class TestPseudoObservations:
         y = rng.standard_normal(x.size)
         assert_allclose(kendall_tau(x, y),
                         kendall_tau(np.exp(x / 25.0), y), atol=1e-12)
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    """`import vineshift` stays cheap: scipy.stats and scipy.optimize load lazily."""
+    src = str(Path(vineshift.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, vineshift; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
