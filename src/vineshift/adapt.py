@@ -258,6 +258,16 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     F_src = [source_vine.marginals[i] if changed_marg[i] else new_marginals[i]
              for i in range(d)]
     F_tgt = new_marginals
+    cdf_sides = {"source": (F_src, Zs), "target": (F_tgt, Zt),
+                 "target_labeled": (F_tgt, Zt_lab)}
+    cdf_columns: dict = {}
+
+    def cdf_column(i: int, side: str) -> np.ndarray:
+        """Column i of one side's rows under that side's marginal, computed once."""
+        if (i, side) not in cdf_columns:
+            F, Z = cdf_sides[side]
+            cdf_columns[i, side] = F[i].cdf(Z[:, i])
+        return cdf_columns[i, side]
 
     # -- rank pseudo-observations per refit row set -------------------------
     def _ranks(Z: np.ndarray, keep_y: bool) -> np.ndarray:
@@ -331,12 +341,10 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
                                                     "pooled", tested=False))
                     new_cop = _refit(src_edge.copula, *pool)
                 else:
-                    S_rows = Zs
-                    T_rows = Zt_lab if uses_y else Zt
-                    us = np.column_stack([F_src[j].cdf(S_rows[:, j]),
-                                          F_src[k].cdf(S_rows[:, k])])
-                    ut = np.column_stack([F_tgt[j].cdf(T_rows[:, j]),
-                                          F_tgt[k].cdf(T_rows[:, k])])
+                    side = "target_labeled" if uses_y else "target"
+                    us = np.column_stack([cdf_column(j, "source"),
+                                          cdf_column(k, "source")])
+                    ut = np.column_stack([cdf_column(j, side), cdf_column(k, side)])
                     res = permutation_test(us, ut, _factor_config(cfg, fid))
                     U_tgt = U_tgt_lab if uses_y else U_tgt_all
                     if res.rejected and n_e >= MIN_REFIT and U_tgt is not None:

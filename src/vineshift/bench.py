@@ -21,7 +21,7 @@ from .dataio import Dataset
 from .mmd import MmdConfig
 from .regress import default_grid, evaluate
 from .rvine import fit_vine
-from .statcore import _SQRT_2PI, silverman_bandwidth
+from .statcore import _SQRT_2PI, row_blocks, silverman_bandwidth
 from .synth import REGRESSION_SHIFTS, regression_task
 
 METHODS = ("NPRV", "GRV", "KDE")
@@ -81,13 +81,11 @@ class ProductKernelKDE:
             raise ValueError(f"expected {d} columns, got {rows.shape[1]}")
         const = -np.log(n) - np.log(self.bandwidths).sum() - d * np.log(_SQRT_2PI)
         out = np.empty(rows.shape[0])
-        step = max(int(4_000_000 // max(n * d, 1)), 1)
-        for lo in range(0, rows.shape[0], step):
-            blk = rows[lo:lo + step]
-            D = (blk[:, None, :] - self.centers[None, :, :]) / self.bandwidths
+        for blk in row_blocks(rows.shape[0], n * d):
+            D = (rows[blk, None, :] - self.centers[None, :, :]) / self.bandwidths
             quad = -0.5 * np.einsum("rkd,rkd->rk", D, D)
             mx = quad.max(axis=1)
-            out[lo:lo + step] = mx + np.log(np.exp(quad - mx[:, None]).sum(axis=1))
+            out[blk] = mx + np.log(np.exp(quad - mx[:, None]).sum(axis=1))
         out += const
         return float(out[0]) if scalar else out
 

@@ -25,6 +25,19 @@ and variance sc^2 = sz^2 - g^2/sw^2, so
 which is divided by its u -> 1 limit so the conditional cdf reaches
 exactly 1. That normalized form is a convex combination of Gaussian
 cdfs with softmax weights proportional to N(w | w_i, sw^2).
+
+Evaluation. Both sums form a (queries x centers) matrix, one block of
+statcore.row_blocks rows at a time, and reduce each row on its own. A
+matrix row that depends on one argument only is computed once per
+distinct value of that argument and gathered per block: the softmax
+weights always (they depend on the conditioning value), and, when
+g == 0, the Gaussian-cdf factor and the two halves sw^2 dz^2 and
+sz^2 dw^2 of the quadratic form. With g == 0 the dropped terms
+(g/sw^2) dc and 2 g dz dw are +-0, so leaving them out is exact. Only
+arguments with at least 64 entries, at most half of them distinct, are
+tabulated; the others run row by row. Either way every row holds the
+same bits, so the results do not depend on the block size or on which
+arguments were tabulated.
 """
 
 from __future__ import annotations
@@ -34,12 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .statcore import kendall_tau, silverman_bandwidth
+from .statcore import kendall_tau, row_blocks, silverman_bandwidth
 
 # Evaluation-time clamp for pseudo-observations touching 0 or 1.
 EPS = 1e-10
 
-_CHUNK_ENTRIES = 4_000_000
+# Smallest argument worth tabulating per distinct value (np.unique sorts it).
+_TABLE_MIN_ENTRIES = 64
 
 
 def _clamp(u) -> np.ndarray:
@@ -57,6 +71,23 @@ def _pair(u, v) -> tuple[np.ndarray, np.ndarray, bool]:
     scalar = ua.ndim == 0 and va.ndim == 0
     ua, va = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
     return ua.astype(float).ravel(), va.astype(float).ravel(), scalar
+
+
+def _rows_of(x: np.ndarray, width: int, rows):
+    """Block slice -> rows(x[block]), a fresh (block, width) array.
+
+    An x of at least _TABLE_MIN_ENTRIES entries, at most half of them
+    distinct, runs rows once per distinct value, and blocks gather from
+    that table; the gathered rows hold the bits rows would return.
+    """
+    if x.size >= _TABLE_MIN_ENTRIES:
+        values, inverse = np.unique(x, return_inverse=True)
+        if 2 * values.size <= x.size:
+            table = np.empty((values.size, width))
+            for blk in row_blocks(values.size, width):
+                table[blk] = rows(values[blk])
+            return lambda blk: table[inverse[blk]]
+    return lambda blk: rows(x[blk])
 
 
 @dataclass(frozen=True)
@@ -109,17 +140,36 @@ class KernelCopula:
         ua, va, scalar = _pair(u, v)
         z = ndtri(_clamp(ua))
         w = ndtri(_clamp(va))
-        det = self.sigma_z**2 * self.sigma_w**2 - self.gamma**2
+        sz2, sw2, g = self.sigma_z**2, self.sigma_w**2, self.gamma
+        det = sz2 * sw2 - g**2
+        zc, wc = self.z_centers, self.w_centers
+        if g == 0.0:
+            # the cross term 2 g dz dw is +-0: leaving it out is exact
+            def part(x, centers, s2):
+                d = x[:, None] - centers
+                sq = s2 * d
+                sq *= d
+                return sq
+
+            z_part = _rows_of(z, self.n, lambda zb: part(zb, zc, sw2))
+            w_part = _rows_of(w, self.n, lambda wb: part(wb, wc, sz2))
+
+            def quad_form(blk):
+                return z_part(blk) + w_part(blk)
+        else:
+            def quad_form(blk):
+                dz = z[blk, None] - zc
+                dw = w[blk, None] - wc
+                return sw2 * dz * dz - 2.0 * g * dz * dw + sz2 * dw * dw
+
         out = np.empty(z.shape, dtype=float)
-        step = max(1, _CHUNK_ENTRIES // self.n)
-        for lo in range(0, z.size, step):
-            dz = z[lo:lo + step, None] - self.z_centers
-            dw = w[lo:lo + step, None] - self.w_centers
-            quad = (self.sigma_w**2 * dz * dz - 2.0 * self.gamma * dz * dw
-                    + self.sigma_z**2 * dw * dw) / det
+        for blk in row_blocks(z.size, self.n):
+            quad = quad_form(blk)
+            quad /= det
             quad *= -0.5
             m = quad.max(axis=1)
-            out[lo:lo + step] = m + np.log(np.exp(quad - m[:, None]).sum(axis=1))
+            quad -= m[:, None]
+            out[blk] = m + np.log(np.exp(quad, out=quad).sum(axis=1))
         out += 0.5 * (z * z + w * w) - np.log(self.n) - 0.5 * np.log(det)
         return float(out[0]) if scalar else out
 
@@ -134,16 +184,35 @@ class KernelCopula:
         cond_var = sigma_q**2 - self.gamma**2 / sigma_c_marg**2
         sc = np.sqrt(cond_var)
         slope = self.gamma / sigma_c_marg**2
-        out = np.empty(qa.shape, dtype=float)
-        step = max(1, _CHUNK_ENTRIES // self.n)
-        for lo in range(0, qa.size, step):
-            dc = ca[lo:lo + step, None] - c_centers
-            logw = -0.5 * (dc / sigma_c_marg) ** 2
+
+        def softmax_weights(cb):
+            logw = cb[:, None] - c_centers
+            logw /= sigma_c_marg
+            logw *= logw
+            logw *= -0.5
             logw -= logw.max(axis=1, keepdims=True)
-            weights = np.exp(logw)
+            weights = np.exp(logw, out=logw)
             weights /= weights.sum(axis=1, keepdims=True)
-            mu = q_centers + slope * dc
-            out[lo:lo + step] = (weights * ndtr((qa[lo:lo + step, None] - mu) / sc)).sum(axis=1)
+            return weights
+
+        def cdfs(qb, mu):
+            t = qb[:, None] - mu
+            t /= sc
+            return ndtr(t, out=t)
+
+        weights_of = _rows_of(ca, self.n, softmax_weights)
+        if self.gamma == 0.0:
+            # slope * dc is +-0: the means are the centers, exactly
+            cdfs_of = _rows_of(qa, self.n, lambda qb: cdfs(qb, q_centers))
+        else:
+            def cdfs_of(blk):
+                return cdfs(qa[blk], q_centers + slope * (ca[blk, None] - c_centers))
+
+        out = np.empty(qa.shape, dtype=float)
+        for blk in row_blocks(qa.size, self.n):
+            terms = cdfs_of(blk)
+            terms *= weights_of(blk)
+            out[blk] = terms.sum(axis=1)
         return out
 
     def cdf_u_given_v(self, u, v):

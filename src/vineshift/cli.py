@@ -6,8 +6,9 @@ to target-task data, predict and evaluate on test rows, and run a
 standalone two-sample test.
 
 Exit codes: 0 ok (mmd-test: no shift detected), 1 mmd-test rejection,
-2 parse error, 3 degenerate or insufficient data, 4 schema mismatch,
-5 internal invariant violation.
+2 parse error, 3 degenerate, insufficient or otherwise invalid data or
+settings (any other ValueError), 4 schema mismatch, 5 internal invariant
+violation or unexpected error. Every failure prints one "error:" line.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ MODE_NAMES = {"supervised": "supervised", "semi": "semi_supervised",
 
 
 def _source_dataset(model) -> Dataset:
-    """Source sample recovered from the stored kernel support points."""
+    """Source sample recovered from the stored kernel support points.
+
+    Only a source model stores its training rows that way: adaptation
+    refits marginals on other row sets, so an adapted model is refused.
+    """
+    if model.fit_metadata.get("adapted"):
+        raise SchemaError("only a source model can be adapted; "
+                          "this model was already adapted")
     Z = np.column_stack([np.asarray(m.centers, dtype=float) for m in model.marginals])
     if model.norm_mean is not None:
         Z = model.norm_mean + model.norm_std * Z
@@ -286,6 +294,12 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -20,9 +20,20 @@ from .errors import DegenerateDataError, InsufficientDataError
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# Largest number of matrix entries evaluated at once by the kernel sums.
-# Keeps peak memory of (points x centers) broadcasts around 32 MB.
-_CHUNK_ENTRIES = 4_000_000
+# Matrix entries per block of every (points x centers) kernel sum in the
+# package: 2^16 doubles, 512 KB per temporary. Blocks this small stay in
+# cache and reuse freed memory; multi-megabyte ones page-fault afresh.
+BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(rows: int, width: int):
+    """Slices covering range(rows), about BLOCK_ENTRIES / width rows each.
+
+    Every kernel sum reduces each row on its own, so the block size sets
+    how much memory a call touches, never a bit of its result.
+    """
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return map(slice, range(0, rows, step), range(step, rows + step, step))
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -98,42 +109,41 @@ class GaussianKernel1D:
         return cls(arr, silverman_bandwidth(arr, dim=1))
 
     def _std_resid(self, x: np.ndarray) -> np.ndarray:
-        return (x[..., None] - self.centers) / self.bandwidth
+        t = x[..., None] - self.centers
+        t /= self.bandwidth
+        return t
 
-    def pdf(self, x):
+    def _row_sums(self, x, row_sum):
+        """row_sum of each point's standardised residuals, block by block."""
         arr, scalar = _as_float_array(x)
         out = np.empty(arr.shape, dtype=float)
         flat_in = arr.reshape(-1)
         flat_out = out.reshape(-1)
-        step = max(1, _CHUNK_ENTRIES // self.centers.size)
-        for lo in range(0, flat_in.size, step):
-            t = self._std_resid(flat_in[lo:lo + step])
-            flat_out[lo:lo + step] = np.exp(-0.5 * t * t).sum(axis=-1)
+        for blk in row_blocks(flat_in.size, self.centers.size):
+            flat_out[blk] = row_sum(self._std_resid(flat_in[blk]))
+        return out, scalar
+
+    def pdf(self, x):
+        out, scalar = self._row_sums(x, lambda t: np.exp(-0.5 * t * t).sum(axis=-1))
         out /= self.centers.size * self.bandwidth * _SQRT_2PI
         return float(out) if scalar else out
 
     def logpdf(self, x):
         """log pdf via the max-shift trick; finite for any finite x."""
-        arr, scalar = _as_float_array(x)
-        out = np.empty(arr.shape, dtype=float)
-        flat_in = arr.reshape(-1)
-        flat_out = out.reshape(-1)
-        step = max(1, _CHUNK_ENTRIES // self.centers.size)
-        for lo in range(0, flat_in.size, step):
-            e = -0.5 * self._std_resid(flat_in[lo:lo + step]) ** 2
-            m = e.max(axis=-1)
-            flat_out[lo:lo + step] = m + np.log(np.exp(e - m[..., None]).sum(axis=-1))
+        def log_sum(t):
+            t *= t
+            t *= -0.5
+            m = t.max(axis=-1)
+            t -= m[..., None]
+            return m + np.log(np.exp(t, out=t).sum(axis=-1))
+
+        out, scalar = self._row_sums(x, log_sum)
         out -= np.log(self.centers.size * self.bandwidth * _SQRT_2PI)
         return float(out) if scalar else out
 
     def cdf(self, x):
-        arr, scalar = _as_float_array(x)
-        out = np.empty(arr.shape, dtype=float)
-        flat_in = arr.reshape(-1)
-        flat_out = out.reshape(-1)
-        step = max(1, _CHUNK_ENTRIES // self.centers.size)
-        for lo in range(0, flat_in.size, step):
-            flat_out[lo:lo + step] = ndtr(self._std_resid(flat_in[lo:lo + step])).mean(axis=-1)
+        out, scalar = self._row_sums(x, lambda t: ndtr(t, out=t).sum(axis=-1))
+        out /= self.centers.size
         return float(out) if scalar else out
 
     def quantile(self, p):

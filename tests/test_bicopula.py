@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from vineshift.bicopula import GaussianCopula, IndependenceCopula, KernelCopula
+from vineshift import bicopula
+from vineshift.bicopula import EPS, GaussianCopula, IndependenceCopula, KernelCopula
 from vineshift.statcore import rank_pseudo_observations
 
 
@@ -145,6 +146,82 @@ class TestKernelHFunction:
         for p, v0 in [(0.25, 0.6), (0.8, 0.3)]:
             u0 = cop.h_inverse(p, v0)
             assert_allclose(cop.cdf_u_given_v(u0, v0), p, atol=1e-10)
+
+
+def row_by_row(cop, u, v):
+    """(log density, h(u|v), h(v|u)) of each query on its own, from the formulas."""
+    z = ndtri(np.clip(u, EPS, 1 - EPS))
+    w = ndtri(np.clip(v, EPS, 1 - EPS))
+    sz2, sw2, g = cop.sigma_z**2, cop.sigma_w**2, cop.gamma
+    det = sz2 * sw2 - g**2
+
+    def h(q, c, qc, cc, sq, scm):
+        dc = c - cc
+        logw = -0.5 * (dc / scm) ** 2
+        weights = np.exp(logw - logw.max())
+        weights /= weights.sum()
+        mu = qc + (g / scm**2) * dc
+        return (weights * ndtr((q - mu) / np.sqrt(sq**2 - g**2 / scm**2))).sum()
+
+    ld, hu, hv = [], [], []
+    for zi, wi in zip(z, w):
+        dz, dw = zi - cop.z_centers, wi - cop.w_centers
+        quad = -0.5 * ((sw2 * dz * dz - 2.0 * g * dz * dw + sz2 * dw * dw) / det)
+        m = quad.max()
+        ld.append(m + np.log(np.exp(quad - m).sum())
+                  + (0.5 * (zi * zi + wi * wi) - np.log(cop.n) - 0.5 * np.log(det)))
+        hu.append(h(zi, wi, cop.z_centers, cop.w_centers, cop.sigma_z, cop.sigma_w))
+        hv.append(h(wi, zi, cop.w_centers, cop.z_centers, cop.sigma_w, cop.sigma_z))
+    return np.array(ld), np.array(hu), np.array(hv)
+
+
+def query_sets(rng, u, v):
+    grid = np.linspace(0.001, 0.999, 40)
+    rows = rng.uniform(0.01, 0.99, 9)
+    return {
+        "cross product": (np.tile(grid, 9), np.repeat(rows, 40)),
+        "cross product, roles swapped": (np.repeat(rows, 40), np.tile(grid, 9)),
+        "one argument repeated": (np.tile(grid, 9), rng.uniform(size=360)),
+        "repeated pairs": (np.repeat(u[:30], 4), np.repeat(v[:30], 4)),
+        "paired, all distinct": (u, v),
+        "seven rows": (u[:7], v[:7]),
+        "clamped ends": (np.array([0.0, 1.0, 0.5, 1e-300] * 20),
+                         np.array([0.5, 0.5, 1.0, 0.0] * 20)),
+    }
+
+
+class TestKernelCopulaEvaluation:
+    """Tables per distinct argument and blocks must not move a single bit."""
+
+    @pytest.fixture(params=[0.0, 0.08, -0.05])
+    def cop(self, request):
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((150, 2))
+        x, y = z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]
+        return KernelCopula.fit(rank_pseudo_observations(x),
+                                rank_pseudo_observations(y), gamma=request.param)
+
+    def test_equals_row_by_row_formulas(self, cop):
+        rng = np.random.default_rng(22)
+        u, v = rng.uniform(size=150), rng.uniform(size=150)
+        for name, (a, b) in query_sets(rng, u, v).items():
+            ld, hu, hv = row_by_row(cop, a, b)
+            assert np.array_equal(cop.log_density(a, b), ld), name
+            assert np.array_equal(cop.cdf_u_given_v(a, b), hu), name
+            assert np.array_equal(cop.cdf_v_given_u(a, b), hv), name
+
+    def test_tabulated_equals_per_row(self, cop, monkeypatch):
+        rng = np.random.default_rng(23)
+        u, v = rng.uniform(size=150), rng.uniform(size=150)
+        cases = dict(query_sets(rng, u, v), scalar=(0.3, 0.7))
+        methods = (cop.log_density, cop.cdf_u_given_v, cop.cdf_v_given_u)
+        tabulated = {name: [f(a, b) for f in methods] for name, (a, b) in cases.items()}
+        monkeypatch.setattr(bicopula, "_TABLE_MIN_ENTRIES", 10**9)
+        for name, (a, b) in cases.items():
+            for f, expect in zip(methods, tabulated[name]):
+                got = f(a, b)
+                assert type(got) is type(expect), name
+                assert np.array_equal(got, expect), name
 
 
 class TestGaussianCopula:

@@ -7,7 +7,7 @@ integer return value is checked against the documented exit codes.
 import numpy as np
 import pytest
 
-from vineshift import modelfile
+from vineshift import cli, modelfile
 from vineshift.cli import main
 from vineshift.dataio import Dataset, read_csv, write_csv
 
@@ -107,6 +107,24 @@ class TestFit:
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("a,b\n1.0,2.0\n")
         assert run("fit", tiny, "-o", tmp_path / "m.json") == 3
+
+    def test_invalid_setting_exits_3_with_one_line(self, workdir, tmp_path, capsys):
+        # a plain ValueError must not fall through to exit 1, the rejection code
+        assert run("fit", workdir / "train.csv", "-o", tmp_path / "m.json",
+                   "--truncation", 0) == 3
+        err = capsys.readouterr().err
+        assert err == "error: truncation must be >= 1\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_unexpected_error_exits_5_with_one_line(self, workdir, tmp_path,
+                                                    capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "fit_vine", broken)
+        assert run("fit", workdir / "train.csv", "-o", tmp_path / "m.json") == 5
+        err = capsys.readouterr().err
+        assert err == "error: internal error: ZeroDivisionError: division by zero\n"
 
 
 class TestPredictEval:
@@ -215,6 +233,18 @@ class TestAdapt:
         assert run("adapt", workdir / "model.json", "-o", tmp_path / "u.json",
                    "--target-unlabeled", root / "unlabeled.csv",
                    "--mode", "unsupervised", "--permutations", 50) == 0
+
+    def test_adapted_model_is_refused_exits_4(self, adapted, tmp_path, capsys):
+        root, _ = adapted
+        capsys.readouterr()
+        assert run("adapt", root / "adapted.json", "-o", tmp_path / "again.json",
+                   "--target-labeled", root / "labeled.csv",
+                   "--target-unlabeled", root / "unlabeled.csv",
+                   "--permutations", 20) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: only a source model can be adapted")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "again.json").exists()
 
     def test_supervised_without_labels_exits_4(self, workdir, tmp_path, adapted):
         root, _ = adapted

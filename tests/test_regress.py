@@ -109,6 +109,25 @@ class TestConditionalDensity:
             row = conditional_density_batch(model, Xf[r:r + 1], grid)
             assert_allclose(batch[r], row[0], rtol=1e-10)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_batch_matches_joint_density_on_grid(self, normalize):
+        # independent oracle: the joint density of (x, y) for y on the
+        # grid, through VineModel.log_density and propagate_arguments,
+        # normalized over the grid; feature-only factors cancel
+        rng = np.random.default_rng(64)
+        ds = regression_task(250, rng, d=6, rho=0.6)
+        model = fit_vine(ds.X, truncation=3, variable_names=ds.names,
+                         target_index=5, normalize=normalize)
+        grid = default_grid(model, 65)
+        Xf = regression_task(8, rng, d=6, rho=0.6).X[:, :5]
+        batch = conditional_density_batch(model, Xf, grid)
+        g = grid.points.size
+        rows = np.column_stack([np.repeat(Xf, g, axis=0), np.tile(grid.points, len(Xf))])
+        logd = model.log_density(rows).reshape(len(Xf), g)
+        dens = np.exp(logd - logd.max(axis=1, keepdims=True))
+        dens /= np.trapezoid(dens, grid.points, axis=1)[:, None]
+        assert_allclose(batch, dens, rtol=1e-10)
+
 
 class TestPrediction:
     def test_recovers_linear_response(self):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 import vineshift
+from vineshift import statcore
+from vineshift.bench import ProductKernelKDE
+from vineshift.bicopula import KernelCopula
 from vineshift.errors import DegenerateDataError, InsufficientDataError
 from vineshift.statcore import (GaussianKernel1D, kendall_tau,
                                 pseudo_observations,
@@ -140,6 +144,48 @@ class TestGaussianKernel1D:
             GaussianKernel1D(centers=[], bandwidth=1.0)
         with pytest.raises(ValueError):
             GaussianKernel1D(centers=[1.0], bandwidth=0.0)
+
+
+class TestKernelSumBlocks:
+    """Every kernel sum reduces rows on their own: no block size moves a bit."""
+
+    @pytest.mark.parametrize("entries", [1, 10**8])
+    def test_block_size_does_not_change_results(self, entries, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(300)
+        kern = GaussianKernel1D.fit(x)
+        cop = KernelCopula.fit(rank_pseudo_observations(x),
+                               rank_pseudo_observations(x + rng.standard_normal(300)))
+        skew = replace(cop, gamma=0.05)
+        kde = ProductKernelKDE.fit(rng.standard_normal((200, 4)))
+        pts = rng.normal(size=(23, 13))
+        grid, rows = np.tile(np.linspace(0.01, 0.99, 50), 8), np.repeat(rng.uniform(size=8), 50)
+        u, v = rng.uniform(size=400), rng.uniform(size=400)
+        X = rng.standard_normal((90, 4))
+
+        def outputs():
+            out = [kern.pdf(pts), kern.logpdf(pts), kern.cdf(pts), kern.cdf(0.2),
+                   kde.log_density(X), kde.log_density(X[0])]
+            for c in (cop, skew):
+                for a, b in ((grid, rows), (u, v), (0.3, 0.6)):
+                    out += [c.log_density(a, b), c.cdf_u_given_v(a, b),
+                            c.cdf_v_given_u(a, b)]
+            return out
+
+        default = outputs()
+        monkeypatch.setattr(statcore, "BLOCK_ENTRIES", entries)
+        for got, expect in zip(outputs(), default, strict=True):
+            assert np.shape(got) == np.shape(expect)
+            assert np.array_equal(got, expect)
+
+    def test_row_blocks_cover_every_row_once(self, monkeypatch):
+        monkeypatch.setattr(statcore, "BLOCK_ENTRIES", 100)
+        blocks = list(statcore.row_blocks(25, 30))
+        assert [(b.start, b.stop) for b in blocks] == [(0, 3), (3, 6), (6, 9), (9, 12),
+                                                       (12, 15), (15, 18), (18, 21),
+                                                       (21, 24), (24, 27)]
+        assert [(b.start, b.stop) for b in statcore.row_blocks(3, 500)] == [(0, 1), (1, 2), (2, 3)]
+        assert list(statcore.row_blocks(0, 5)) == []
 
 
 def brute_tau(x, y):
