@@ -25,7 +25,7 @@ from .bicopula import GaussianCopula, KernelCopula
 from .dataio import Dataset
 from .errors import InsufficientDataError, SchemaError
 from .mmd import MmdConfig, permutation_test
-from .rvine import VineEdge, VineModel, VineTree, _split_conditioned
+from .rvine import VineModel, VineTree, base_samples, walk
 from .statcore import GaussianKernel1D, rank_pseudo_observations
 
 # Fewer target rows than MIN_TEST: skip the factor's test and pool quietly.
@@ -73,6 +73,13 @@ class FactorDecision:
     fallback: bool = False
 
 
+def _changed_counts(decisions) -> tuple[int, int]:
+    """(changed marginals, changed copulas) in a decision list."""
+    changed = [d.factor_id for d in decisions if d.changed]
+    return (sum(1 for f in changed if f.startswith("marginal")),
+            sum(1 for f in changed if f.startswith("edge")))
+
+
 @dataclass(frozen=True)
 class AdaptationReport:
     decisions: list
@@ -82,11 +89,8 @@ class AdaptationReport:
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
-        marg = sum(1 for d in self.decisions
-                   if d.changed and d.factor_id.startswith("marginal"))
-        cop = sum(1 for d in self.decisions
-                  if d.changed and d.factor_id.startswith("edge"))
-        if (marg, cop) != (self.n_changed_marginals, self.n_changed_copulas):
+        if (_changed_counts(self.decisions)
+                != (self.n_changed_marginals, self.n_changed_copulas)):
             raise ValueError("changed-factor counts do not match the decision list")
 
     def summary(self) -> str:
@@ -103,18 +107,6 @@ class AdaptationReport:
         for w in self.warnings:
             lines.append(f"warning: {w}")
         return "\n".join(lines)
-
-
-def _report(decisions, copied, warnings_) -> AdaptationReport:
-    return AdaptationReport(
-        decisions=decisions,
-        n_changed_marginals=sum(1 for d in decisions
-                                if d.changed and d.factor_id.startswith("marginal")),
-        n_changed_copulas=sum(1 for d in decisions
-                              if d.changed and d.factor_id.startswith("edge")),
-        copied_factors=copied,
-        warnings=warnings_,
-    )
 
 
 def _aligned(ds: Dataset, names: list, missing_ok=frozenset()) -> np.ndarray:
@@ -158,7 +150,7 @@ def factor_samples(vine: VineModel, data: Dataset, factor_id: str) -> np.ndarray
         label = factor_id[len("edge("):-1]
         Z = vine._to_internal(X)
         U = np.column_stack([m.cdf(Z[:, i]) for i, m in enumerate(vine.marginals)])
-        for edge, s1, s2 in vine._propagate(U):
+        for edge, s1, s2 in walk(vine.trees, base_samples(U)):
             if edge.label() == label:
                 return np.column_stack([s1, s2])
         raise ValueError(f"factor not found: {factor_id!r}")
@@ -278,8 +270,6 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
             U[:, i] = rank_pseudo_observations(Z[:, i])
         return U
 
-    U_pool_all = _ranks(np.vstack([Zs, Zt]), keep_y=False)
-    U_pool_lab = None if unsup else _ranks(np.vstack([Zs, Zt_lab]), keep_y=True)
     U_tgt_all = _ranks(Zt, keep_y=False) if n_t >= MIN_REFIT else None
     U_tgt_lab = (_ranks(Zt_lab, keep_y=True)
                  if not unsup and lab_rows >= MIN_REFIT else None)
@@ -292,96 +282,53 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         return cop  # nothing data-driven to re-estimate
 
     # -- walk the trees ------------------------------------------------------
-    src_trees = source_vine.trees
-    trees_new: list[VineTree] = []
-    cond_all: list[dict] = []
-    cond_lab: list[dict] = []
-    for t_idx, src_tree in enumerate(src_trees):
-        last = t_idx == len(src_trees) - 1
-        new_edges = []
-        next_all: list[dict] = []
-        next_lab: list[dict] = []
-        for src_edge in src_tree.edges:
-            j, k = src_edge.conditioned
-            uses_y = y in src_edge.constraint
-            # argument samples in the all-rows and labeled-rows streams
-            if t_idx == 0:
-                a1 = a2 = None
-                if not uses_y:
-                    a1, a2 = U_pool_all[:, j], U_pool_all[:, k]
-                b1 = b2 = None
-                if U_pool_lab is not None:
-                    b1, b2 = U_pool_lab[:, j], U_pool_lab[:, k]
+    # Two streams of copula arguments over the pooled rows, all rows (the
+    # target variable absent) and labeled rows (none in unsupervised
+    # mode), both carried through the copulas chosen for the new model.
+    pool_all = base_samples(_ranks(np.vstack([Zs, Zt]), keep_y=False))
+    pool_lab = (dict.fromkeys((i, frozenset()) for i in range(d)) if unsup
+                else base_samples(_ranks(np.vstack([Zs, Zt_lab]), keep_y=True)))
+    chosen: dict = {}
+    walks = [walk(source_vine.trees, F, lambda e: chosen[id(e)]) for F in (pool_all, pool_lab)]
+    for (src_edge, a1, a2), (_, b1, b2) in zip(*walks):
+        j, k = src_edge.conditioned
+        uses_y = y in src_edge.constraint
+        fid = f"edge({src_edge.label()})"
+        if uses_y and unsup:
+            chosen[id(src_edge)] = src_edge.copula
+            copied.append(fid)
+            continue
+        rows = (b1, b2) if uses_y else (a1, a2)
+        n_e = lab_rows if uses_y else n_t
+        if src_edge.conditioning:
+            pass  # deeper trees are rebuilt from the pooled rows, untested
+        elif n_e < MIN_TEST:
+            warnings_.append(f"{fid}: only {n_e} target rows "
+                             f"(<{MIN_TEST}); pooled without testing")
+            decisions.append(FactorDecision(fid, float("nan"), False,
+                                            "pooled", tested=False))
+        else:
+            side = "target_labeled" if uses_y else "target"
+            us = np.column_stack([cdf_column(j, "source"), cdf_column(k, "source")])
+            ut = np.column_stack([cdf_column(j, side), cdf_column(k, side)])
+            res = permutation_test(us, ut, _factor_config(cfg, fid))
+            U_tgt = U_tgt_lab if uses_y else U_tgt_all
+            if res.rejected and n_e >= MIN_REFIT and U_tgt is not None:
+                decisions.append(FactorDecision(fid, res.p_value, True, "target_only"))
+                rows = U_tgt[:, j], U_tgt[:, k]
+            elif res.rejected:
+                warnings_.append(f"{fid}: changed but only {n_e} target "
+                                 f"rows (<{MIN_REFIT}); refit from pooled "
+                                 "data instead")
+                decisions.append(FactorDecision(fid, res.p_value, True,
+                                                "pooled", fallback=True))
             else:
-                owner = _split_conditioned(src_trees[t_idx - 1], src_edge)
-                a1 = cond_all[owner[j]].get(j)
-                a2 = cond_all[owner[k]].get(k)
-                if a1 is None or a2 is None:
-                    a1 = a2 = None
-                b1 = cond_lab[owner[j]].get(j) if cond_lab else None
-                b2 = cond_lab[owner[k]].get(k) if cond_lab else None
-                if b1 is None or b2 is None:
-                    b1 = b2 = None
+                decisions.append(FactorDecision(fid, res.p_value, False, "pooled"))
+        chosen[id(src_edge)] = _refit(src_edge.copula, *rows)
 
-            fid = f"edge({src_edge.label()})"
-            if uses_y and unsup:
-                new_cop = src_edge.copula
-                copied.append(fid)
-            elif t_idx > 0:
-                # deeper trees are rebuilt from the pooled rows, untested
-                s1, s2 = (b1, b2) if uses_y else (a1, a2)
-                new_cop = _refit(src_edge.copula, s1, s2)
-            else:
-                n_e = lab_rows if uses_y else n_t
-                pool = (b1, b2) if uses_y else (a1, a2)
-                if n_e < MIN_TEST:
-                    warnings_.append(f"{fid}: only {n_e} target rows "
-                                     f"(<{MIN_TEST}); pooled without testing")
-                    decisions.append(FactorDecision(fid, float("nan"), False,
-                                                    "pooled", tested=False))
-                    new_cop = _refit(src_edge.copula, *pool)
-                else:
-                    side = "target_labeled" if uses_y else "target"
-                    us = np.column_stack([cdf_column(j, "source"),
-                                          cdf_column(k, "source")])
-                    ut = np.column_stack([cdf_column(j, side), cdf_column(k, side)])
-                    res = permutation_test(us, ut, _factor_config(cfg, fid))
-                    U_tgt = U_tgt_lab if uses_y else U_tgt_all
-                    if res.rejected and n_e >= MIN_REFIT and U_tgt is not None:
-                        decisions.append(FactorDecision(fid, res.p_value, True,
-                                                        "target_only"))
-                        new_cop = _refit(src_edge.copula, U_tgt[:, j], U_tgt[:, k])
-                    elif res.rejected:
-                        warnings_.append(f"{fid}: changed but only {n_e} target "
-                                         f"rows (<{MIN_REFIT}); refit from pooled "
-                                         "data instead")
-                        decisions.append(FactorDecision(fid, res.p_value, True,
-                                                        "pooled", fallback=True))
-                        new_cop = _refit(src_edge.copula, *pool)
-                    else:
-                        decisions.append(FactorDecision(fid, res.p_value, False,
-                                                        "pooled"))
-                        new_cop = _refit(src_edge.copula, *pool)
-
-            new_edges.append(VineEdge(conditioned=src_edge.conditioned,
-                                      conditioning=src_edge.conditioning,
-                                      node_pair=src_edge.node_pair,
-                                      copula=new_cop,
-                                      weight=src_edge.weight))
-            if not last and a1 is not None:
-                next_all.append({j: new_cop.cdf_u_given_v(a1, a2),
-                                 k: new_cop.cdf_v_given_u(a1, a2)})
-            else:
-                next_all.append({})
-            if not last and b1 is not None:
-                next_lab.append({j: new_cop.cdf_u_given_v(b1, b2),
-                                 k: new_cop.cdf_v_given_u(b1, b2)})
-            else:
-                next_lab.append({})
-        trees_new.append(VineTree(level=src_tree.level,
-                                  nodes=list(src_tree.nodes),
-                                  edges=new_edges))
-        cond_all, cond_lab = next_all, next_lab
+    trees_new = [VineTree(level=t.level, nodes=list(t.nodes),
+                          edges=[replace(e, copula=chosen[id(e)]) for e in t.edges])
+                 for t in source_vine.trees]
 
     meta = dict(source_vine.fit_metadata)
     meta.update({"adapted": True, "mode": inp.mode, "n_source": int(n_s),
@@ -397,7 +344,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         else np.array(source_vine.norm_std, dtype=float),
         fit_metadata=meta,
     )
-    return model, _report(decisions, copied, warnings_)
+    return model, AdaptationReport(decisions, *_changed_counts(decisions),
+                                   copied_factors=copied, warnings=warnings_)
 
 
 __all__ = [

@@ -6,6 +6,8 @@ Three families share one small interface:
   cdf_u_given_v(u, v)     conditional cdf P(U <= u | V = v), the h-function
   cdf_v_given_u(u, v)     conditional cdf P(V <= v | U = u)
 
+and inherit density(u, v) = exp(log_density(u, v)) from one base class.
+
 KernelCopula is the non-parametric estimator: pseudo-observations are
 mapped to the Gaussian z-scale, a bivariate Gaussian mixture is placed
 on the transformed points, and dividing by the standard-normal density
@@ -90,8 +92,16 @@ def _rows_of(x: np.ndarray, width: int, rows):
     return lambda blk: rows(x[blk])
 
 
+class _Copula:
+    """The copula density, shared by every family through log_density."""
+
+    def density(self, u, v):
+        result = self.log_density(u, v)
+        return float(np.exp(result)) if np.ndim(result) == 0 else np.exp(result)
+
+
 @dataclass(frozen=True)
-class KernelCopula:
+class KernelCopula(_Copula):
     """Gaussian-transform kernel copula.
 
     z_centers, w_centers are the transformed pseudo-observations,
@@ -173,10 +183,6 @@ class KernelCopula:
         out += 0.5 * (z * z + w * w) - np.log(self.n) - 0.5 * np.log(det)
         return float(out[0]) if scalar else out
 
-    def density(self, u, v):
-        result = self.log_density(u, v)
-        return float(np.exp(result)) if np.ndim(result) == 0 else np.exp(result)
-
     def _h(self, q, c, q_centers, c_centers, sigma_q, sigma_c_marg):
         """Shared conditional cdf: P(Q <= q | C = c)."""
         qa = ndtri(_clamp(q))
@@ -244,7 +250,7 @@ class KernelCopula:
 
 
 @dataclass(frozen=True)
-class GaussianCopula:
+class GaussianCopula(_Copula):
     """Closed-form Gaussian copula with correlation rho."""
 
     rho: float
@@ -269,10 +275,6 @@ class GaussianCopula:
         out = -0.5 * np.log(one_m) - (r * r * (z * z + w * w) - 2.0 * r * z * w) / (2.0 * one_m)
         return float(out[0]) if scalar else out
 
-    def density(self, u, v):
-        result = self.log_density(u, v)
-        return float(np.exp(result)) if np.ndim(result) == 0 else np.exp(result)
-
     def cdf_u_given_v(self, u, v):
         ua, va, scalar = _pair(u, v)
         z = ndtri(_clamp(ua))
@@ -285,17 +287,13 @@ class GaussianCopula:
 
 
 @dataclass(frozen=True)
-class IndependenceCopula:
+class IndependenceCopula(_Copula):
     """Copula with density identically 1; h(u|v) = u."""
 
     def log_density(self, u, v):
         ua, va, scalar = _pair(u, v)
         out = np.zeros(ua.shape, dtype=float)
         return float(out[0]) if scalar else out
-
-    def density(self, u, v):
-        result = self.log_density(u, v)
-        return float(np.exp(result)) if np.ndim(result) == 0 else np.exp(result)
 
     def cdf_u_given_v(self, u, v):
         ua, va, scalar = _pair(u, v)

@@ -86,6 +86,39 @@ def model_to_doc(model: VineModel) -> dict:
     }
 
 
+def _check_edges(trees: list, d: int) -> None:
+    """Every edge must be the one its node_pair makes of the tree below.
+
+    A tree-1 edge joins the two variables it names; a deeper edge joins
+    two node-sharing parent edges, its conditioned pair is the symmetric
+    difference of their constraint sets and its conditioning set their
+    intersection. The edges of each tree must span its nodes.
+    """
+    for e in trees[0].edges:
+        if (e.conditioning or sorted(e.node_pair) != sorted(e.conditioned)
+                or not 0 <= min(e.conditioned) <= max(e.conditioned) < d):
+            raise ParseError(f"tree 1 edge {e.label()} does not join its two variables")
+    for prev, tree in zip(trees, trees[1:]):
+        for e in tree.edges:
+            if len(e.node_pair) != 2 or not all(0 <= i < len(prev.edges) for i in e.node_pair):
+                raise ParseError(f"tree {tree.level} edge {e.label()}: node_pair "
+                                 f"{list(e.node_pair)} out of range")
+            a, b = (prev.edges[i] for i in e.node_pair)
+            if (not set(a.node_pair) & set(b.node_pair)
+                    or set(e.conditioned) != a.constraint ^ b.constraint
+                    or e.conditioning != a.constraint & b.constraint):
+                raise ParseError(f"tree {tree.level} edge {e.label()} does not follow "
+                                 f"from its parent edges {list(e.node_pair)}")
+    for tree in trees:
+        # n - 1 edges span n nodes only if none of them closes a cycle
+        part = {i: {i} for i in range(len(tree.edges) + 1)}
+        for p, q in (e.node_pair for e in tree.edges):
+            if part[p] is part[q]:
+                raise ParseError(f"the edges of tree {tree.level} do not form a tree")
+            merged = part[p] | part[q]
+            part.update(dict.fromkeys(merged, merged))
+
+
 def model_from_doc(doc) -> VineModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError("not a vineshift model file")
@@ -100,7 +133,7 @@ def model_from_doc(doc) -> VineModel:
         for t in doc["trees"]:
             edges = [VineEdge(conditioned=tuple(e["conditioned"]),
                               conditioning=frozenset(e["conditioning"]),
-                              node_pair=tuple(e["node_pair"]),
+                              node_pair=tuple(int(i) for i in e["node_pair"]),
                               copula=_copula_from(e["copula"]),
                               weight=float(e["weight"]))
                      for e in t["edges"]]
@@ -128,6 +161,7 @@ def model_from_doc(doc) -> VineModel:
     for lvl, t in enumerate(model.trees, start=1):
         if t.level != lvl or len(t.edges) != d - lvl:
             raise ParseError(f"tree {lvl} is inconsistent with {d} variables")
+    _check_edges(model.trees, d)
     if model.target_index is not None and not 0 <= model.target_index < d:
         raise ParseError(f"target_index {model.target_index} out of range")
     if model.norm_mean is not None and (model.norm_mean.size != d

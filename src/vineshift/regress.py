@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import DegenerateDataError, SchemaError
-from .rvine import VineModel, _split_conditioned
+from .rvine import VineModel, walk
 
 
 @dataclass(frozen=True)
@@ -75,64 +75,24 @@ def conditional_density_batch(vine: VineModel, X_feat, grid: YGrid) -> np.ndarra
     Xf = np.atleast_2d(np.asarray(X_feat, dtype=float))
     if Xf.shape[1] != len(feats):
         raise ValueError(f"expected {len(feats)} feature columns, got {Xf.shape[1]}")
-    m = Xf.shape[0]
-    g = grid.points.size
 
     # Internal (normalized) coordinates.
     gy = grid.points
     if vine.norm_mean is not None:
         gy = (gy - vine.norm_mean[y]) / vine.norm_std[y]
-    rows = np.zeros((m, vine.dim))
+    rows = np.zeros((Xf.shape[0], vine.dim))
     rows[:, feats] = Xf
     rows_int = vine._to_internal(rows)
 
-    # Pseudo-observations: features once per test row, grid once per point.
-    u_feat = np.empty((m, vine.dim))
-    for i in feats:
-        u_feat[:, i] = vine.marginals[i].cdf(rows_int[:, i])
-    u_grid = vine.marginals[y].cdf(gy)
-
-    # Walk the trees keeping two array shapes: length m for values with
-    # no grid dependence, length m*g (grid index fastest) once the target
-    # enters an edge's constraint. Only consumers of the target ever need
-    # the expanded shape, so feature-only h-functions run on m rows.
-    trees = vine.trees
-    needed = [[set() for _ in t.edges] for t in trees]
-    for t_idx in range(1, len(trees)):
-        prev = trees[t_idx - 1]
-        for edge in trees[t_idx].edges:
-            for var, e_idx in _split_conditioned(prev, edge).items():
-                needed[t_idx - 1][e_idx].add(var)
-
-    def expand(a):
-        return np.repeat(a, g) if a.size == m else a
-
-    u_grid_tiled = np.tile(u_grid, m)
-    logd = np.tile(vine.marginals[y].logpdf(gy), m)
-    samples: list[list[dict]] = []
-    for t_idx, tree in enumerate(trees):
-        tree_samples = []
-        for e_idx, edge in enumerate(tree.edges):
-            j, k = edge.conditioned
-            if t_idx == 0:
-                s1 = u_grid_tiled if j == y else u_feat[:, j]
-                s2 = u_grid_tiled if k == y else u_feat[:, k]
-            else:
-                owner = _split_conditioned(trees[t_idx - 1], edge)
-                s1 = samples[t_idx - 1][owner[j]][j]
-                s2 = samples[t_idx - 1][owner[k]][k]
-            if y in edge.constraint:
-                s1, s2 = expand(s1), expand(s2)
-                logd = logd + edge.copula.log_density(s1, s2)
-            want = needed[t_idx][e_idx]
-            vals = {}
-            if j in want:
-                vals[j] = edge.copula.cdf_u_given_v(s1, s2)
-            if k in want:
-                vals[k] = edge.copula.cdf_v_given_u(s1, s2)
-            tree_samples.append(vals)
-        samples.append(tree_samples)
-    logd = logd.reshape(m, g)
+    # Features as (m, 1) columns, the grid as a (1, g) row: an edge whose
+    # arguments involve the target runs on the (m, g) cross product, and
+    # feature-only h-functions run on m rows.
+    F = {(i, frozenset()): vine.marginals[i].cdf(rows_int[:, i])[:, None] for i in feats}
+    F[y, frozenset()] = vine.marginals[y].cdf(gy)[None, :]
+    logd = vine.marginals[y].logpdf(gy)[None, :]
+    for edge, s1, s2 in walk(vine.trees, F):
+        if y in edge.constraint:
+            logd = logd + edge.copula.log_density(s1, s2).reshape(-1, gy.size)
 
     logd -= logd.max(axis=1, keepdims=True)
     dens = np.exp(logd)

@@ -19,6 +19,16 @@ Copula arguments above T_1 are conditional cdfs obtained from the
 h-functions of the parent edges; the copula's functional form ignores
 the conditioning values (simplified-vine assumption). Edges beyond the
 truncation level behave as independence copulas and are not stored.
+
+One generator, walk, holds that recursion for fitting, scoring,
+prediction and adaptation. It keeps the sample of F(v | S) in a dict
+under the key (v, S): edge (j, k | D) reads (j, D) and (k, D), so every
+argument is a lookup, not a search through the parent tree. The walker
+yields the edge with its arguments first and computes its h-values
+only when resumed, with the copula the caller then names, so a caller
+can fit or replace the copula in between; it writes (j, D | {k}) and
+(k, D | {j}), and only the keys a later tree reads. Once a tree is done
+nothing reads its arguments again, and they are dropped.
 """
 
 from __future__ import annotations
@@ -133,22 +143,6 @@ def build_first_tree(pseudo: np.ndarray) -> VineTree:
     return VineTree(level=1, nodes=[frozenset([i]) for i in range(d)], edges=edges)
 
 
-def _split_conditioned(prev: VineTree, edge: VineEdge):
-    """Map each conditioned variable of edge to the parent edge it came from."""
-    p, q = edge.node_pair
-    np_set = prev.edges[p].constraint
-    nq_set = prev.edges[q].constraint
-    out = {}
-    for var in edge.conditioned:
-        if var in np_set and var not in nq_set:
-            out[var] = p
-        elif var in nq_set and var not in np_set:
-            out[var] = q
-        else:
-            raise StructureError(f"variable {var} is not private to either parent edge")
-    return out
-
-
 def build_next_tree(prev: VineTree, cond_samples: list[dict]) -> VineTree:
     """Build tree level prev.level+1 from conditional pseudo-observations.
 
@@ -197,47 +191,67 @@ def build_next_tree(prev: VineTree, cond_samples: list[dict]) -> VineTree:
                     edges=edges)
 
 
-def propagate_arguments(trees: list, U: np.ndarray, copula_of=None) -> list:
-    """Argument samples (edge, s1, s2) for every stored edge.
+def walk(trees, F: dict, copula_of=None, reads=None):
+    """Yield (edge, s1, s2) for every edge of trees, tree by tree.
 
-    U is an (n, d) matrix of pseudo-observations; columns that are
-    entirely nan mark variables absent from the data, and any edge whose
-    constraint touches one yields (edge, None, None). copula_of lets a
-    caller propagate h-values through substitute copulas (the adaptation
-    engine walks with its freshly refitted ones); default is each edge's
-    own copula.
+    F maps (v, frozenset()) to the sample of variable v's cdf, or to
+    None for a variable absent from the data; any edge whose arguments
+    involve an absent variable yields (edge, None, None). Samples may be
+    any arrays that broadcast against each other; h-values take the
+    broadcast shape. On resumption after an edge, its h-values are
+    computed with copula_of(edge) (default: the edge's own copula) and
+    stored in F for the keys for which reads(key) is true (default: the
+    keys read by trees[1:], which must then be a sequence). F is updated
+    in place, so trees may be produced lazily from it.
     """
     if copula_of is None:
         copula_of = lambda e: e.copula
-    nan_cols = {i for i in range(U.shape[1]) if np.any(np.isnan(U[:, i]))}
-    out = []
-    samples: list[list[dict]] = []
-    for t_idx, tree in enumerate(trees):
-        tree_samples = []
-        last = t_idx == len(trees) - 1
+    if reads is None:
+        reads = {(v, e.conditioning) for t in trees[1:] for e in t.edges
+                 for v in e.conditioned}.__contains__
+    for tree in trees:
         for edge in tree.edges:
             j, k = edge.conditioned
-            if tree.level == 1:
-                if j in nan_cols or k in nan_cols:
-                    s1 = s2 = None
-                else:
-                    s1, s2 = U[:, j], U[:, k]
-            else:
-                prev = trees[t_idx - 1]
-                owner = _split_conditioned(prev, edge)
-                s1 = samples[t_idx - 1][owner[j]].get(j)
-                s2 = samples[t_idx - 1][owner[k]].get(k)
-                if s1 is None or s2 is None:
-                    s1 = s2 = None
-            out.append((edge, s1, s2))
-            if not last and s1 is not None:
+            D = edge.conditioning
+            if (j, D) not in F or (k, D) not in F:
+                raise StructureError(f"arguments of edge {edge.label()} are not "
+                                     "derivable from the trees above it")
+            s1, s2 = F[j, D], F[k, D]
+            if s1 is None or s2 is None:
+                s1 = s2 = None
+            yield edge, s1, s2
+            keys = [key for key in ((j, D | {k}), (k, D | {j})) if reads(key)]
+            if keys and s1 is not None:
                 cop = copula_of(edge)
-                tree_samples.append({j: cop.cdf_u_given_v(s1, s2),
-                                     k: cop.cdf_v_given_u(s1, s2)})
+                shape = np.broadcast_shapes(np.shape(s1), np.shape(s2))
+                h = {j: cop.cdf_u_given_v, k: cop.cdf_v_given_u}
+                for v, S in keys:
+                    F[v, S] = h[v](s1, s2).reshape(shape)
             else:
-                tree_samples.append({})
-        samples.append(tree_samples)
-    return out
+                F.update(dict.fromkeys(keys))
+        for key in [key for key in F if len(key[1]) == tree.level - 1]:
+            del F[key]
+
+
+def base_samples(U: np.ndarray) -> dict:
+    """walk's F for an (n, d) matrix of pseudo-observations.
+
+    A column holding any nan marks its variable absent.
+    """
+    return {(i, frozenset()): None if np.isnan(col).any() else col
+            for i, col in enumerate(U.T)}
+
+
+def propagate_arguments(trees: list, U: np.ndarray, copula_of=None) -> list:
+    """Argument samples (edge, s1, s2) for every stored edge.
+
+    U is an (n, d) matrix of pseudo-observations; columns holding any
+    nan mark variables absent from the data, and any edge whose
+    constraint touches one yields (edge, None, None). copula_of lets a
+    caller propagate h-values through substitute copulas; default is
+    each edge's own copula.
+    """
+    return list(walk(trees, base_samples(U), copula_of))
 
 
 def _fit_edge_copula(family: str, s1: np.ndarray, s2: np.ndarray, gamma: float):
@@ -280,11 +294,6 @@ class VineModel:
             return 0.0
         return -float(np.log(self.norm_std).sum())
 
-    # -- propagation of copula arguments ---------------------------------
-
-    def _propagate(self, U: np.ndarray):
-        return propagate_arguments(self.trees, U)
-
     # -- evaluation -------------------------------------------------------
 
     def log_density(self, X) -> np.ndarray | float:
@@ -296,11 +305,11 @@ class VineModel:
             raise ValueError(f"expected {self.dim} columns, got {rows.shape[1]}")
         Z = self._to_internal(rows)
         logp = np.zeros(Z.shape[0])
-        U = np.empty_like(Z)
+        F = {}
         for i, marg in enumerate(self.marginals):
             logp += marg.logpdf(Z[:, i])
-            U[:, i] = marg.cdf(Z[:, i])
-        for edge, s1, s2 in self._propagate(U):
+            F[i, frozenset()] = marg.cdf(Z[:, i])
+        for edge, s1, s2 in walk(self.trees, F):
             logp += edge.copula.log_density(s1, s2)
         logp += self._log_jacobian()
         return float(logp[0]) if scalar else logp
@@ -386,39 +395,26 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel", gamma: float = 0
     marginals = [GaussianKernel1D.fit(X[:, i]) for i in range(d)]
     U = np.column_stack([rank_pseudo_observations(X[:, i]) for i in range(d)])
 
-    trees = []
-    tree = build_first_tree(U)
     levels = min(truncation, d - 1)
+    trees = []
+
+    def grow():
+        # each tree is built from the conditional samples of the one before
+        tree = build_first_tree(U)
+        while True:
+            trees.append(tree)
+            yield tree
+            if len(trees) == levels:
+                return
+            tree = build_next_tree(tree, [{v: F[v, e.constraint - {v}] for v in e.conditioned}
+                                          for e in tree.edges])
+
     # conditional-cdf samples feed the next tree's tau matrix; computing
     # them for a tree nothing builds on would cost O(n^2) per edge for no
     # benefit, so the last fitted level skips them
-    cond_samples: list[dict] = []
-    for edge in tree.edges:
-        j, k = edge.conditioned
-        edge.copula = _fit_edge_copula(family, U[:, j], U[:, k], gamma)
-        if levels > 1:
-            cond_samples.append({
-                j: edge.copula.cdf_u_given_v(U[:, j], U[:, k]),
-                k: edge.copula.cdf_v_given_u(U[:, j], U[:, k]),
-            })
-    trees.append(tree)
-    for level in range(2, levels + 1):
-        prev = trees[-1]
-        tree = build_next_tree(prev, cond_samples)
-        new_samples = []
-        for edge in tree.edges:
-            owner = _split_conditioned(prev, edge)
-            j, k = edge.conditioned
-            s1 = cond_samples[owner[j]][j]
-            s2 = cond_samples[owner[k]][k]
-            edge.copula = _fit_edge_copula(family, s1, s2, gamma)
-            if level < levels:
-                new_samples.append({
-                    j: edge.copula.cdf_u_given_v(s1, s2),
-                    k: edge.copula.cdf_v_given_u(s1, s2),
-                })
-        cond_samples = new_samples
-        trees.append(tree)
+    F = base_samples(U)
+    for edge, s1, s2 in walk(grow(), F, reads=lambda key: len(key[1]) < levels):
+        edge.copula = _fit_edge_copula(family, s1, s2, gamma)
 
     for t in trees:
         if len(t.edges) != d - t.level:

@@ -4,6 +4,8 @@ Everything runs in-process: main() is called with argv lists and its
 integer return value is checked against the documented exit codes.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,21 @@ class TestPredictEval:
         tll = float(out.split("TLL:")[1].split()[0])
         assert 0.0 < nmse < 0.8
         assert np.isfinite(tll)
+
+    @pytest.mark.parametrize("field", ["node_pair", "conditioning"])
+    def test_contradictory_model_file_exits_2_with_one_line(self, workdir, tmp_path,
+                                                            capsys, field):
+        # a tree-2 edge naming a missing parent, or a conditioning set
+        # that disagrees with its parents
+        doc = modelfile.model_to_doc(modelfile.load(workdir / "model.json"))
+        edge = doc["trees"][1]["edges"][0]
+        edge[field] = [0, 99] if field == "node_pair" else [
+            v for v in range(5) if v not in edge["conditioned"] + edge["conditioning"]][:1]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert run("eval", broken, workdir / "test.csv", "--grid-points", 65) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -149,3 +149,33 @@ class TestValidation:
         doc["marginals"][0]["bandwidth"] = -1.0
         with pytest.raises(ParseError):
             model_from_doc(doc)
+
+    def test_node_pair_out_of_range_rejected(self):
+        doc = self.make_doc()
+        doc["trees"][1]["edges"][0]["node_pair"] = [0, 99]
+        with pytest.raises(ParseError, match="out of range"):
+            model_from_doc(doc)
+
+    def test_conditioning_contradicting_parents_rejected(self):
+        doc = self.make_doc()
+        edge = doc["trees"][1]["edges"][0]
+        outside = sorted(set(range(4)) - set(edge["conditioned"]) - set(edge["conditioning"]))
+        edge["conditioning"] = outside[:1]
+        with pytest.raises(ParseError, match="parent edges"):
+            model_from_doc(doc)
+
+    def test_first_tree_edge_must_join_its_variables(self):
+        doc = self.make_doc()
+        edge = doc["trees"][0]["edges"][0]
+        edge["node_pair"] = [v for v in range(4) if v not in edge["conditioned"]]
+        with pytest.raises(ParseError, match="tree 1"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_repeated_edge_rejected(self, level):
+        # n - 1 edges with one repeated leave a node out of the last tree
+        doc = model_to_doc(sample_model(truncation=level + 1))
+        edges = doc["trees"][level]["edges"]
+        edges[1] = json.loads(json.dumps(edges[0]))
+        with pytest.raises(ParseError, match="do not form a tree"):
+            model_from_doc(doc)

@@ -7,9 +7,10 @@ from scipy import integrate
 
 from vineshift.errors import (DegenerateDataError, InsufficientDataError,
                               StructureError)
+from vineshift.bicopula import IndependenceCopula
 from vineshift.rvine import (VineEdge, VineTree, build_first_tree,
                              build_next_tree, fit_vine,
-                             prim_max_spanning_tree, propagate_arguments)
+                             prim_max_spanning_tree, propagate_arguments, walk)
 from vineshift.statcore import rank_pseudo_observations
 from vineshift.synth import gaussian_copula_chain
 
@@ -374,3 +375,82 @@ class TestPropagateArguments:
         changed = any(not np.allclose(a[1], b[1])
                       for a, b in zip(alt[2:], base[2:]))
         assert changed
+
+
+class TestWalk:
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_arguments_match_conditional_cdf(self, family, normalize):
+        # each argument is F(x_v | x_D), which conditional_cdf evaluates
+        # by its own recursion
+        rng = np.random.default_rng(43)
+        ds = gaussian_copula_chain(150, 5, rho=0.6, rng=rng)
+        model = fit_vine(ds.X, truncation=3, family=family, normalize=normalize)
+        X = gaussian_copula_chain(4, 5, rho=0.6, rng=rng).X
+        Z = model._to_internal(X)
+        F = {(i, frozenset()): m.cdf(Z[:, i]) for i, m in enumerate(model.marginals)}
+        seen = 0
+        for edge, s1, s2 in walk(model.trees, F):
+            D = edge.conditioning
+            for v, sample in zip(edge.conditioned, (s1, s2)):
+                expect = [model.conditional_cdf(v, x[v], {i: x[i] for i in D})
+                          for x in X]
+                assert_allclose(sample, expect, rtol=1e-12)
+            seen += 1
+        assert seen == 4 + 3 + 2
+
+    def test_underivable_arguments_raise(self):
+        # 0,3|1 would need F(3 | 1), but no first-tree edge joins 1 and 3
+        first = VineTree(level=1, nodes=[frozenset([i]) for i in range(4)],
+                         edges=[VineEdge((0, 1), frozenset(), (0, 1), IndependenceCopula()),
+                                VineEdge((1, 2), frozenset(), (1, 2), IndependenceCopula()),
+                                VineEdge((2, 3), frozenset(), (2, 3), IndependenceCopula())])
+        second = VineTree(level=2, nodes=[e.constraint for e in first.edges],
+                          edges=[VineEdge((0, 2), frozenset({1}), (0, 1), IndependenceCopula()),
+                                 VineEdge((0, 3), frozenset({1}), (0, 2), IndependenceCopula())])
+        U = np.random.default_rng(44).random((30, 4))
+        with pytest.raises(StructureError):
+            propagate_arguments([first, second], U)
+
+    def test_one_h_value_per_key_read_later(self):
+        rng = np.random.default_rng(45)
+        ds = gaussian_copula_chain(120, 5, rho=0.6, rng=rng)
+        model = fit_vine(ds.X, truncation=3)
+        computed = []
+
+        class Counting:
+            def __init__(self, edge):
+                self.edge = edge
+
+            def cdf_u_given_v(self, u, v):
+                j, k = self.edge.conditioned
+                computed.append((j, self.edge.conditioning | {k}))
+                return self.edge.copula.cdf_u_given_v(u, v)
+
+            def cdf_v_given_u(self, u, v):
+                j, k = self.edge.conditioned
+                computed.append((k, self.edge.conditioning | {j}))
+                return self.edge.copula.cdf_v_given_u(u, v)
+
+        U = np.column_stack([rank_pseudo_observations(ds.X[:, i]) for i in range(5)])
+        propagate_arguments(model.trees, U, copula_of=Counting)
+        reads = [(v, e.conditioning) for t in model.trees[1:] for e in t.edges
+                 for v in e.conditioned]
+        assert sorted(computed, key=repr) == sorted(reads, key=repr)
+        assert len(set(reads)) == len(reads)
+
+    def test_tree_arguments_are_dropped_once_walked(self):
+        rng = np.random.default_rng(46)
+        ds = gaussian_copula_chain(80, 4, rho=0.6, rng=rng)
+        model = fit_vine(ds.X, truncation=3, family="gaussian")
+        U = np.column_stack([rank_pseudo_observations(ds.X[:, i]) for i in range(4)])
+        F = {(i, frozenset()): U[:, i] for i in range(4)}
+        levels = []
+        for edge, _, _ in walk(model.trees, F):
+            levels.append({len(S) for _, S in F})
+            assert len(edge.conditioning) in levels[-1]
+        # while a tree is walked only its own and the next level are held,
+        # and nothing is left once the last tree is done
+        assert all(held <= {lvl, lvl + 1} for held, lvl in
+                   zip(levels, [0] * 3 + [1] * 2 + [2]))
+        assert F == {}
