@@ -210,8 +210,31 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     copied: list[str] = []
     warnings_: list[str] = []
 
+    def refit_target_only(fid: str, src: np.ndarray, tgt: np.ndarray) -> bool:
+        """Test one factor and record its decision; True to refit from tgt alone.
+
+        Too few target rows: untested, pooled. Changed: target rows only
+        when there are enough of them, pooled (a fallback) otherwise.
+        Not changed: pooled.
+        """
+        n = tgt.shape[0]
+        if n < MIN_TEST:
+            warnings_.append(f"{fid}: only {n} target rows (<{MIN_TEST}); "
+                             "pooled without testing")
+            decisions.append(FactorDecision(fid, float("nan"), False, "pooled", tested=False))
+            return False
+        res = permutation_test(src, tgt, _factor_config(cfg, fid))
+        alone = res.rejected and n >= MIN_REFIT
+        fallback = res.rejected and not alone
+        if fallback:
+            warnings_.append(f"{fid}: changed but only {n} target rows "
+                             f"(<{MIN_REFIT}); refit from pooled data instead")
+        decisions.append(FactorDecision(fid, res.p_value, res.rejected,
+                                        "target_only" if alone else "pooled",
+                                        fallback=fallback))
+        return alone
+
     # -- marginals -----------------------------------------------------------
-    changed_marg = np.zeros(d, dtype=bool)
     new_marginals: list = [None] * d
     for i in range(d):
         fid = f"marginal({i})"
@@ -221,33 +244,14 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
             continue
         src_col = Zs[:, i]
         tgt_col = Zt_lab[:, i] if i == y else Zt[:, i]
-        n_i = tgt_col.size
-        if n_i < MIN_TEST:
-            warnings_.append(f"{fid}: only {n_i} target rows (<{MIN_TEST}); "
-                             "pooled without testing")
-            decisions.append(FactorDecision(fid, float("nan"), False, "pooled",
-                                            tested=False))
-            new_marginals[i] = GaussianKernel1D.fit(np.concatenate([src_col, tgt_col]))
-            continue
-        res = permutation_test(src_col, tgt_col, _factor_config(cfg, fid))
-        if res.rejected and n_i >= MIN_REFIT:
-            decisions.append(FactorDecision(fid, res.p_value, True, "target_only"))
-            changed_marg[i] = True
-            new_marginals[i] = GaussianKernel1D.fit(tgt_col)
-        elif res.rejected:
-            warnings_.append(f"{fid}: changed but only {n_i} target rows "
-                             f"(<{MIN_REFIT}); refit from pooled data instead")
-            decisions.append(FactorDecision(fid, res.p_value, True, "pooled",
-                                            fallback=True))
-            changed_marg[i] = True
-            new_marginals[i] = GaussianKernel1D.fit(np.concatenate([src_col, tgt_col]))
-        else:
-            decisions.append(FactorDecision(fid, res.p_value, False, "pooled"))
-            new_marginals[i] = GaussianKernel1D.fit(np.concatenate([src_col, tgt_col]))
+        alone = refit_target_only(fid, src_col, tgt_col)
+        new_marginals[i] = GaussianKernel1D.fit(
+            tgt_col if alone else np.concatenate([src_col, tgt_col]))
 
     # Post-adaptation marginal of each domain: a changed variable keeps the
     # source fit on the source side, everything else shares the new fit.
-    F_src = [source_vine.marginals[i] if changed_marg[i] else new_marginals[i]
+    changed = {dec.factor_id for dec in decisions if dec.changed}
+    F_src = [source_vine.marginals[i] if f"marginal({i})" in changed else new_marginals[i]
              for i in range(d)]
     F_tgt = new_marginals
     cdf_sides = {"source": (F_src, Zs), "target": (F_tgt, Zt),
@@ -299,31 +303,13 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
             copied.append(fid)
             continue
         rows = (b1, b2) if uses_y else (a1, a2)
-        n_e = lab_rows if uses_y else n_t
-        if src_edge.conditioning:
-            pass  # deeper trees are rebuilt from the pooled rows, untested
-        elif n_e < MIN_TEST:
-            warnings_.append(f"{fid}: only {n_e} target rows "
-                             f"(<{MIN_TEST}); pooled without testing")
-            decisions.append(FactorDecision(fid, float("nan"), False,
-                                            "pooled", tested=False))
-        else:
+        if not src_edge.conditioning:  # deeper trees are refit from pooled rows, untested
             side = "target_labeled" if uses_y else "target"
             us = np.column_stack([cdf_column(j, "source"), cdf_column(k, "source")])
             ut = np.column_stack([cdf_column(j, side), cdf_column(k, side)])
-            res = permutation_test(us, ut, _factor_config(cfg, fid))
-            U_tgt = U_tgt_lab if uses_y else U_tgt_all
-            if res.rejected and n_e >= MIN_REFIT and U_tgt is not None:
-                decisions.append(FactorDecision(fid, res.p_value, True, "target_only"))
+            if refit_target_only(fid, us, ut):
+                U_tgt = U_tgt_lab if uses_y else U_tgt_all
                 rows = U_tgt[:, j], U_tgt[:, k]
-            elif res.rejected:
-                warnings_.append(f"{fid}: changed but only {n_e} target "
-                                 f"rows (<{MIN_REFIT}); refit from pooled "
-                                 "data instead")
-                decisions.append(FactorDecision(fid, res.p_value, True,
-                                                "pooled", fallback=True))
-            else:
-                decisions.append(FactorDecision(fid, res.p_value, False, "pooled"))
         chosen[id(src_edge)] = _refit(src_edge.copula, *rows)
 
     trees_new = [VineTree(level=t.level, nodes=list(t.nodes),

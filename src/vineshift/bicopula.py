@@ -7,6 +7,9 @@ Three families share one small interface:
   cdf_v_given_u(u, v)     conditional cdf P(V <= v | U = u)
 
 and inherit density(u, v) = exp(log_density(u, v)) from one base class.
+Each method takes its argument shapes through statcore.elementwise:
+arguments broadcast, the result has their shape, and all-scalar
+arguments give a float.
 
 KernelCopula is the non-parametric estimator: pseudo-observations are
 mapped to the Gaussian z-scale, a bivariate Gaussian mixture is placed
@@ -49,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .statcore import kendall_tau, row_blocks, silverman_bandwidth
+from .statcore import (_check_open_unit, elementwise, kendall_tau, row_blocks,
+                       silverman_bandwidth)
 
 # Evaluation-time clamp for pseudo-observations touching 0 or 1.
 EPS = 1e-10
@@ -60,19 +64,6 @@ _TABLE_MIN_ENTRIES = 64
 
 def _clamp(u) -> np.ndarray:
     return np.clip(np.asarray(u, dtype=float), EPS, 1.0 - EPS)
-
-
-def _check_open_unit(name: str, values: np.ndarray):
-    if np.any(values <= 0.0) or np.any(values >= 1.0):
-        raise ValueError(f"{name} must lie strictly inside (0, 1)")
-
-
-def _pair(u, v) -> tuple[np.ndarray, np.ndarray, bool]:
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
-    scalar = ua.ndim == 0 and va.ndim == 0
-    ua, va = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
-    return ua.astype(float).ravel(), va.astype(float).ravel(), scalar
 
 
 def _rows_of(x: np.ndarray, width: int, rows):
@@ -95,9 +86,9 @@ def _rows_of(x: np.ndarray, width: int, rows):
 class _Copula:
     """The copula density, shared by every family through log_density."""
 
+    @elementwise
     def density(self, u, v):
-        result = self.log_density(u, v)
-        return float(np.exp(result)) if np.ndim(result) == 0 else np.exp(result)
+        return np.exp(self.log_density(u, v))
 
 
 @dataclass(frozen=True)
@@ -146,10 +137,10 @@ class KernelCopula(_Copula):
     def n(self) -> int:
         return self.z_centers.size
 
+    @elementwise
     def log_density(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        z = ndtri(_clamp(ua))
-        w = ndtri(_clamp(va))
+        z = ndtri(_clamp(u))
+        w = ndtri(_clamp(v))
         sz2, sw2, g = self.sigma_z**2, self.sigma_w**2, self.gamma
         det = sz2 * sw2 - g**2
         zc, wc = self.z_centers, self.w_centers
@@ -181,7 +172,7 @@ class KernelCopula(_Copula):
             quad -= m[:, None]
             out[blk] = m + np.log(np.exp(quad, out=quad).sum(axis=1))
         out += 0.5 * (z * z + w * w) - np.log(self.n) - 0.5 * np.log(det)
-        return float(out[0]) if scalar else out
+        return out
 
     def _h(self, q, c, q_centers, c_centers, sigma_q, sigma_c_marg):
         """Shared conditional cdf: P(Q <= q | C = c)."""
@@ -221,15 +212,13 @@ class KernelCopula(_Copula):
             out[blk] = terms.sum(axis=1)
         return out
 
+    @elementwise
     def cdf_u_given_v(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        out = self._h(ua, va, self.z_centers, self.w_centers, self.sigma_z, self.sigma_w)
-        return float(out[0]) if scalar else out
+        return self._h(u, v, self.z_centers, self.w_centers, self.sigma_z, self.sigma_w)
 
+    @elementwise
     def cdf_v_given_u(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        out = self._h(va, ua, self.w_centers, self.z_centers, self.sigma_w, self.sigma_z)
-        return float(out[0]) if scalar else out
+        return self._h(v, u, self.w_centers, self.z_centers, self.sigma_w, self.sigma_z)
 
     def h_inverse(self, p: float, v: float) -> float:
         """Solve cdf_u_given_v(u, v) = p for u by bracketed root search.
@@ -266,21 +255,19 @@ class GaussianCopula(_Copula):
         rho = float(np.clip(np.sin(0.5 * np.pi * tau), -0.999, 0.999))
         return cls(rho)
 
+    @elementwise
     def log_density(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        z = ndtri(_clamp(ua))
-        w = ndtri(_clamp(va))
+        z = ndtri(_clamp(u))
+        w = ndtri(_clamp(v))
         r = self.rho
         one_m = 1.0 - r * r
-        out = -0.5 * np.log(one_m) - (r * r * (z * z + w * w) - 2.0 * r * z * w) / (2.0 * one_m)
-        return float(out[0]) if scalar else out
+        return -0.5 * np.log(one_m) - (r * r * (z * z + w * w) - 2.0 * r * z * w) / (2.0 * one_m)
 
+    @elementwise
     def cdf_u_given_v(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        z = ndtri(_clamp(ua))
-        w = ndtri(_clamp(va))
-        out = ndtr((z - self.rho * w) / np.sqrt(1.0 - self.rho**2))
-        return float(out[0]) if scalar else out
+        z = ndtri(_clamp(u))
+        w = ndtri(_clamp(v))
+        return ndtr((z - self.rho * w) / np.sqrt(1.0 - self.rho**2))
 
     def cdf_v_given_u(self, u, v):
         return self.cdf_u_given_v(v, u)
@@ -290,20 +277,17 @@ class GaussianCopula(_Copula):
 class IndependenceCopula(_Copula):
     """Copula with density identically 1; h(u|v) = u."""
 
+    @elementwise
     def log_density(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        out = np.zeros(ua.shape, dtype=float)
-        return float(out[0]) if scalar else out
+        return np.zeros(u.shape)
 
+    @elementwise
     def cdf_u_given_v(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        out = _clamp(ua)
-        return float(out[0]) if scalar else out
+        return _clamp(u)
 
+    @elementwise
     def cdf_v_given_u(self, u, v):
-        ua, va, scalar = _pair(u, v)
-        out = _clamp(va)
-        return float(out[0]) if scalar else out
+        return _clamp(v)
 
 
 __all__ = ["EPS", "GaussianCopula", "IndependenceCopula", "KernelCopula"]

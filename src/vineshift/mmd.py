@@ -58,11 +58,20 @@ def _check_pair(X: np.ndarray, Y: np.ndarray):
         raise InsufficientDataError("each sample needs at least 2 rows")
 
 
-def _kernel_matrix(Z: np.ndarray, bandwidth: float) -> np.ndarray:
+def _sq_dists(Z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of Z, clipped at 0."""
     sq = (Z * Z).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(d2 / (-2.0 * bandwidth * bandwidth))
+    return d2
+
+
+def _pooled_kernel(Xa: np.ndarray, Ya: np.ndarray, bandwidth: float):
+    """RBF kernel of the stacked sample with a zero diagonal, and its row sums."""
+    K = np.exp(_sq_dists(np.vstack([Xa, Ya])) / (-2.0 * bandwidth * bandwidth))
+    np.fill_diagonal(K, 0.0)
+    return K, K.sum(axis=1)
+
 
 def median_heuristic(X, Y) -> float:
     """Median pairwise Euclidean distance of the pooled sample.
@@ -76,25 +85,31 @@ def median_heuristic(X, Y) -> float:
     if Z.shape[0] > 1000:
         idx = np.linspace(0, Z.shape[0] - 1, 1000).astype(int)
         Z = Z[idx]
-    sq = (Z * Z).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
-    np.maximum(d2, 0.0, out=d2)
     iu = np.triu_indices(Z.shape[0], k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
+    med = float(np.median(np.sqrt(_sq_dists(Z)[iu])))
     return med if med > 0.0 else 1.0
 
 
-def _stat_from_parts(quad: float, r_dot: float, total: float, n: int, m: int) -> float:
+def _stat_from_parts(quad, r_dot, total: float, n: int, m: int):
     """Unbiased MMD^2 from the X-indicator aggregates of a pooled kernel.
 
     quad  = s' K0 s      (sum of within-X off-diagonal kernel values)
     r_dot = s' K0 1      (X rows against everything)
     total = 1' K0 1      (all off-diagonal kernel values)
+
+    quad and r_dot may be arrays holding one labeling each.
     """
     within_x = quad / (n * (n - 1))
     within_y = (total - 2.0 * r_dot + quad) / (m * (m - 1))
     cross = (r_dot - quad) / (n * m)
     return within_x + within_y - 2.0 * cross
+
+
+def _observed(K: np.ndarray, r: np.ndarray, n: int, m: int) -> float:
+    """MMD^2 of the labeling that puts the first n pooled rows in X."""
+    s = np.zeros(n + m)
+    s[:n] = 1.0
+    return _stat_from_parts(float(s @ K @ s), float(r @ s), float(r.sum()), n, m)
 
 
 def mmd_statistic(X, Y, bandwidth: float) -> float:
@@ -103,13 +118,7 @@ def mmd_statistic(X, Y, bandwidth: float) -> float:
     _check_pair(Xa, Ya)
     if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
-    n, m = Xa.shape[0], Ya.shape[0]
-    K = _kernel_matrix(np.vstack([Xa, Ya]), bandwidth)
-    np.fill_diagonal(K, 0.0)
-    s = np.zeros(n + m)
-    s[:n] = 1.0
-    r = K.sum(axis=1)
-    return _stat_from_parts(float(s @ K @ s), float(r @ s), float(r.sum()), n, m)
+    return _observed(*_pooled_kernel(Xa, Ya, bandwidth), Xa.shape[0], Ya.shape[0])
 
 
 def permutation_test(X, Y, config: MmdConfig) -> TestResult:
@@ -120,27 +129,17 @@ def permutation_test(X, Y, config: MmdConfig) -> TestResult:
     bw = config.kernel_bandwidth
     if isinstance(bw, str):
         bw = median_heuristic(Xa, Ya)
-    K = _kernel_matrix(np.vstack([Xa, Ya]), bw)
-    np.fill_diagonal(K, 0.0)
-    N = n + m
-    r = K.sum(axis=1)
-    total = float(r.sum())
-    s_obs = np.zeros(N)
-    s_obs[:n] = 1.0
-    observed = _stat_from_parts(float(s_obs @ K @ s_obs), float(r @ s_obs), total, n, m)
+    K, r = _pooled_kernel(Xa, Ya, bw)
+    observed = _observed(K, r, n, m)
 
     rng = np.random.default_rng(config.seed)
+    N = n + m
     B = config.permutations
     S = np.zeros((N, B))
     for b in range(B):
         S[rng.permutation(N)[:n], b] = 1.0
-    M = K @ S
-    quad = np.einsum("ib,ib->b", S, M)
-    r_dot = r @ S
-    within_x = quad / (n * (n - 1))
-    within_y = (total - 2.0 * r_dot + quad) / (m * (m - 1))
-    cross = (r_dot - quad) / (n * m)
-    permuted = within_x + within_y - 2.0 * cross
+    quad = np.einsum("ib,ib->b", S, K @ S)
+    permuted = _stat_from_parts(quad, r @ S, float(r.sum()), n, m)
 
     count = int((permuted >= observed).sum())
     p_value = (1.0 + count) / (1.0 + B)

@@ -11,6 +11,7 @@ files. Kernel models store their support points, so size is O(n d).
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -176,10 +177,18 @@ def save(model: VineModel, path) -> None:
         fh.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflowing literals are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {text} in model file")
+    return value
+
+
 def load(path) -> VineModel:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
     return model_from_doc(doc)

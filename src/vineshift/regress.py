@@ -92,7 +92,7 @@ def conditional_density_batch(vine: VineModel, X_feat, grid: YGrid) -> np.ndarra
     logd = vine.marginals[y].logpdf(gy)[None, :]
     for edge, s1, s2 in walk(vine.trees, F):
         if y in edge.constraint:
-            logd = logd + edge.copula.log_density(s1, s2).reshape(-1, gy.size)
+            logd = logd + edge.copula.log_density(s1, s2)
 
     logd -= logd.max(axis=1, keepdims=True)
     dens = np.exp(logd)
@@ -140,34 +140,29 @@ def nmse(predictions, truth) -> float:
     return float(np.mean((p - t) ** 2) / var)
 
 
-def test_log_likelihood(vine: VineModel, test) -> float:
-    """Mean log density over test rows."""
+def _test_rows(vine: VineModel, test) -> np.ndarray:
+    """Rows of a Dataset whose columns are the model's variables, or of an array."""
     if isinstance(test, Dataset):
         if test.names != vine.variable_names:
             raise SchemaError("test columns do not match the model's variables")
-        X = test.X
-    else:
-        X = np.asarray(test, dtype=float)
-    values = vine.log_density(X)
-    return float(np.mean(values))
+        return test.X
+    return np.asarray(test, dtype=float)
+
+
+def test_log_likelihood(vine: VineModel, test) -> float:
+    """Mean log density over test rows."""
+    return float(np.mean(vine.log_density(_test_rows(vine, test))))
 
 
 def evaluate(vine: VineModel, test: Dataset,
              grid: YGrid | None = None) -> RegressionMetrics:
     """NMSE of conditional-mean predictions plus mean test log density."""
     y = _require_target(vine)
-    if isinstance(test, Dataset):
-        if test.names != vine.variable_names:
-            raise SchemaError("test columns do not match the model's variables")
-        X = test.X
-    else:
-        X = np.asarray(test, dtype=float)
-    feats = feature_indices(vine)
+    X = _test_rows(vine, test)
     if grid is None:
         grid = default_grid(vine)
-    preds = predict_means(vine, X[:, feats], grid)
-    return RegressionMetrics(nmse=nmse(preds, X[:, y]),
-                             tll=float(np.mean(vine.log_density(X))))
+    preds = predict_means(vine, X[:, feature_indices(vine)], grid)
+    return RegressionMetrics(nmse=nmse(preds, X[:, y]), tll=test_log_likelihood(vine, X))
 
 
 __all__ = [

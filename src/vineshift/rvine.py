@@ -92,7 +92,7 @@ class VineEdge:
     weight: float = 0.0
 
     def __post_init__(self):
-        self.conditioned = (int(self.conditioned[0]), int(self.conditioned[1]))
+        self.conditioned = tuple(int(v) for v in self.conditioned)
         self.conditioning = frozenset(int(i) for i in self.conditioning)
         if len(self.conditioned) != 2 or self.conditioned[0] == self.conditioned[1]:
             raise StructureError("conditioned set must contain exactly 2 variables")
@@ -223,10 +223,9 @@ def walk(trees, F: dict, copula_of=None, reads=None):
             keys = [key for key in ((j, D | {k}), (k, D | {j})) if reads(key)]
             if keys and s1 is not None:
                 cop = copula_of(edge)
-                shape = np.broadcast_shapes(np.shape(s1), np.shape(s2))
                 h = {j: cop.cdf_u_given_v, k: cop.cdf_v_given_u}
                 for v, S in keys:
-                    F[v, S] = h[v](s1, s2).reshape(shape)
+                    F[v, S] = h[v](s1, s2)
             else:
                 F.update(dict.fromkeys(keys))
         for key in [key for key in F if len(key[1]) == tree.level - 1]:

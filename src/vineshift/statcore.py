@@ -6,11 +6,14 @@ O(n log n) Kendall rank correlation. All of it is vectorised numpy:
 Kendall tau counts its discordant pairs as the inversions of a rank
 sequence, one rank bit per step, and the kernel quantile bisects all
 points at once. Everything here is a pure function of its inputs;
-fitted kernel models are immutable after construction.
+fitted kernel models are immutable after construction. Every
+elementwise function here, and every copula method in bicopula, takes
+its argument shapes through one decorator, elementwise.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,32 +39,51 @@ def row_blocks(rows: int, width: int):
     return map(slice, range(0, rows, step), range(step, rows + step, step))
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def elementwise(body):
+    """Decorator for a numeric function applied element by element.
+
+    The decorated function takes positional arguments, broadcasts them
+    against each other and calls body with each one flattened to a 1-d
+    float array; body returns one value per element, flat. The result
+    takes the broadcast shape, or is a Python float when every argument
+    is a scalar. A method's self (a first parameter named self) is passed
+    through as is.
+    """
+    skip = int(body.__code__.co_varnames[:1] == ("self",))
+
+    @functools.wraps(body)
+    def apply(*args):
+        arrays = [np.asarray(a, dtype=float) for a in args[skip:]]
+        shape = np.broadcast(*arrays).shape
+        out = body(*args[:skip], *(a.reshape(-1) if a.shape == shape
+                                   else np.broadcast_to(a, shape).reshape(-1) for a in arrays))
+        return out.reshape(shape) if shape else float(out[0])
+
+    return apply
 
 
+def _check_open_unit(name: str, values: np.ndarray):
+    if np.any(values <= 0.0) or np.any(values >= 1.0):
+        raise ValueError(f"{name} must lie strictly in (0, 1)")
+
+
+@elementwise
 def std_normal_pdf(x):
     """Standard Gaussian density exp(-x^2/2)/sqrt(2*pi)."""
-    arr, scalar = _as_float_array(x)
-    out = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    return float(out) if scalar else out
+    return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
+@elementwise
 def std_normal_cdf(x):
     """Standard Gaussian cdf. Accepts +-inf, mapping to 1/0."""
-    arr, scalar = _as_float_array(x)
-    out = ndtr(arr)
-    return float(out) if scalar else out
+    return ndtr(x)
 
 
+@elementwise
 def std_normal_quantile(p):
     """Inverse standard Gaussian cdf on the open interval (0, 1)."""
-    arr, scalar = _as_float_array(p)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("quantile argument must lie strictly in (0, 1)")
-    out = ndtri(arr)
-    return float(out) if scalar else out
+    _check_open_unit("quantile argument", p)
+    return ndtri(p)
 
 
 def silverman_bandwidth(sample, dim: int = 1) -> float:
@@ -113,21 +135,19 @@ class GaussianKernel1D:
         t /= self.bandwidth
         return t
 
-    def _row_sums(self, x, row_sum):
+    def _row_sums(self, x: np.ndarray, row_sum) -> np.ndarray:
         """row_sum of each point's standardised residuals, block by block."""
-        arr, scalar = _as_float_array(x)
-        out = np.empty(arr.shape, dtype=float)
-        flat_in = arr.reshape(-1)
-        flat_out = out.reshape(-1)
-        for blk in row_blocks(flat_in.size, self.centers.size):
-            flat_out[blk] = row_sum(self._std_resid(flat_in[blk]))
-        return out, scalar
+        out = np.empty(x.size)
+        for blk in row_blocks(x.size, self.centers.size):
+            out[blk] = row_sum(self._std_resid(x[blk]))
+        return out
 
+    @elementwise
     def pdf(self, x):
-        out, scalar = self._row_sums(x, lambda t: np.exp(-0.5 * t * t).sum(axis=-1))
-        out /= self.centers.size * self.bandwidth * _SQRT_2PI
-        return float(out) if scalar else out
+        row_sums = self._row_sums(x, lambda t: np.exp(-0.5 * t * t).sum(axis=-1))
+        return row_sums / (self.centers.size * self.bandwidth * _SQRT_2PI)
 
+    @elementwise
     def logpdf(self, x):
         """log pdf via the max-shift trick; finite for any finite x."""
         def log_sum(t):
@@ -137,15 +157,13 @@ class GaussianKernel1D:
             t -= m[..., None]
             return m + np.log(np.exp(t, out=t).sum(axis=-1))
 
-        out, scalar = self._row_sums(x, log_sum)
-        out -= np.log(self.centers.size * self.bandwidth * _SQRT_2PI)
-        return float(out) if scalar else out
+        return self._row_sums(x, log_sum) - np.log(self.centers.size * self.bandwidth * _SQRT_2PI)
 
+    @elementwise
     def cdf(self, x):
-        out, scalar = self._row_sums(x, lambda t: ndtr(t, out=t).sum(axis=-1))
-        out /= self.centers.size
-        return float(out) if scalar else out
+        return self._row_sums(x, lambda t: ndtr(t, out=t).sum(axis=-1)) / self.centers.size
 
+    @elementwise
     def quantile(self, p):
         """Inverse cdf by vectorised bisection, accurate to ~1e-12 in x.
 
@@ -153,27 +171,23 @@ class GaussianKernel1D:
         1e-12 + 4 eps |x|, so a point's result does not depend on the
         other points it is solved with.
         """
-        arr, scalar = _as_float_array(p)
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError("quantile argument must lie strictly in (0, 1)")
-        target = arr.reshape(-1)
+        _check_open_unit("quantile argument", p)
         step = 10.0 * self.bandwidth
-        lo = np.full(target.shape, float(self.centers.min()) - step)
-        hi = np.full(target.shape, float(self.centers.max()) + step)
-        while (low := self.cdf(lo) > target).any():
+        lo = np.full(p.shape, float(self.centers.min()) - step)
+        hi = np.full(p.shape, float(self.centers.max()) + step)
+        while (low := self.cdf(lo) > p).any():
             lo[low] -= step
-        while (high := self.cdf(hi) < target).any():
+        while (high := self.cdf(hi) < p).any():
             hi[high] += step
-        active = np.arange(target.size)
+        active = np.arange(p.size)
         while active.size:
             mid = 0.5 * (lo[active] + hi[active])
-            left = self.cdf(mid) < target[active]
+            left = self.cdf(mid) < p[active]
             lo[active[left]] = mid[left]
             hi[active[~left]] = mid[~left]
             width = hi[active] - lo[active]
             active = active[width > 1e-12 + 4.0 * np.finfo(float).eps * np.abs(mid)]
-        out = (0.5 * (lo + hi)).reshape(arr.shape)
-        return float(out) if scalar else out
+        return 0.5 * (lo + hi)
 
 
 def _change_points(values: np.ndarray) -> np.ndarray:

@@ -204,6 +204,30 @@ class TestPredictEval:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("corrupt", ["nan_marginal_center", "inf_copula_center",
+                                         "three_conditioned", "one_conditioned"])
+    def test_corrupt_model_file_exits_2_with_one_line(self, workdir, tmp_path, capsys,
+                                                     command, corrupt):
+        # json reads NaN and Infinity as floats; an edge's conditioned
+        # list must name exactly two variables
+        doc = modelfile.model_to_doc(modelfile.load(workdir / "model.json"))
+        edge = doc["trees"][0]["edges"][0]
+        if corrupt == "nan_marginal_center":
+            doc["marginals"][0]["centers"][0] = float("nan")
+        elif corrupt == "inf_copula_center":
+            edge["copula"]["z_centers"][0] = float("inf")
+        else:
+            length = 3 if corrupt == "three_conditioned" else 1
+            edge["conditioned"] = (edge["conditioned"] * 2)[:length]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = ["-o", tmp_path / "pred.csv"] if command == "predict" else []
+        assert run(command, broken, workdir / "test.csv", "--grid-points", 65, *out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def adapted(workdir, tmp_path_factory):
     root = tmp_path_factory.mktemp("adapt")

@@ -144,6 +144,29 @@ class TestValidation:
         with pytest.raises(ParseError):
             load(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("field", ["marginal_center", "copula_center"])
+    def test_non_finite_number_rejected(self, tmp_path, token, field):
+        # json reads NaN, Infinity and overflowing literals as floats
+        doc = self.make_doc()
+        if field == "marginal_center":
+            doc["marginals"][0]["centers"][0] = 12345.5
+        else:
+            doc["trees"][0]["edges"][0]["copula"]["z_centers"][0] = 12345.5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace("12345.5", token))
+        with pytest.raises(ParseError, match="non-finite"):
+            load(path)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_conditioned_must_hold_two_variables(self, level, length):
+        doc = self.make_doc()
+        edge = doc["trees"][level]["edges"][0]
+        edge["conditioned"] = (edge["conditioned"] * 2)[:length]
+        with pytest.raises(ParseError, match="exactly 2 variables"):
+            model_from_doc(doc)
+
     def test_negative_bandwidth_rejected(self):
         doc = self.make_doc()
         doc["marginals"][0]["bandwidth"] = -1.0

@@ -14,7 +14,7 @@ from scipy import integrate, stats
 import vineshift
 from vineshift import statcore
 from vineshift.bench import ProductKernelKDE
-from vineshift.bicopula import KernelCopula
+from vineshift.bicopula import GaussianCopula, IndependenceCopula, KernelCopula
 from vineshift.errors import DegenerateDataError, InsufficientDataError
 from vineshift.statcore import (GaussianKernel1D, kendall_tau,
                                 pseudo_observations,
@@ -186,6 +186,43 @@ class TestKernelSumBlocks:
                                                        (21, 24), (24, 27)]
         assert [(b.start, b.stop) for b in statcore.row_blocks(3, 500)] == [(0, 1), (1, 2), (2, 3)]
         assert list(statcore.row_blocks(0, 5)) == []
+
+
+def _elementwise_methods():
+    """(function, arity) for every function that goes through statcore.elementwise."""
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(80)
+    u, v = rank_pseudo_observations(x), rank_pseudo_observations(x + rng.standard_normal(80))
+    kern = GaussianKernel1D.fit(x)
+    out = [pytest.param(f, 1, id=f.__name__)
+           for f in (std_normal_pdf, std_normal_cdf, std_normal_quantile)]
+    out += [pytest.param(getattr(kern, name), 1, id=f"GaussianKernel1D.{name}")
+            for name in ("pdf", "logpdf", "cdf", "quantile")]
+    for cop in (KernelCopula.fit(u, v), KernelCopula.fit(u, v, gamma=0.05),
+                GaussianCopula.fit(u, v), IndependenceCopula()):
+        label = type(cop).__name__ + ("(gamma)" if getattr(cop, "gamma", 0.0) else "")
+        out += [pytest.param(getattr(cop, name), 2, id=f"{label}.{name}")
+                for name in ("log_density", "density", "cdf_u_given_v", "cdf_v_given_u")]
+    return out
+
+
+@pytest.mark.parametrize("f,arity", _elementwise_methods())
+def test_elementwise_shape_contract(f, arity):
+    # scalars give a float, arrays keep their (broadcast) shape, and every
+    # element equals the flat evaluation of the broadcast arguments
+    assert type(f(*[0.3, 0.6][:arity])) is float
+    flat = [np.linspace(0.1, 0.9, 7), np.linspace(0.8, 0.2, 7)][:arity]
+    assert f(*flat).shape == (7,)
+    if arity == 1:
+        grid = np.linspace(0.05, 0.95, 12).reshape(4, 3)
+        args = (grid,)
+    else:
+        args = (np.linspace(0.05, 0.95, 4)[:, None], np.linspace(0.1, 0.9, 3)[None, :])
+        assert f(0.4, flat[1]).shape == (7,)
+    got = f(*args)
+    assert got.shape == (4, 3)
+    expect = f(*(a.ravel() for a in np.broadcast_arrays(*args))).reshape(4, 3)
+    assert np.array_equal(got, expect)
 
 
 def brute_tau(x, y):
