@@ -279,10 +279,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
                  if not unsup and lab_rows >= MIN_REFIT else None)
 
     def _refit(cop, s1, s2):
-        if isinstance(cop, KernelCopula):
-            return KernelCopula.fit(s1, s2, gamma=cop.gamma)
-        if isinstance(cop, GaussianCopula):
-            return GaussianCopula.fit(s1, s2)
+        if isinstance(cop, (KernelCopula, GaussianCopula)):
+            return type(cop).fit(s1, s2)
         return cop  # nothing data-driven to re-estimate
 
     # -- walk the trees ------------------------------------------------------

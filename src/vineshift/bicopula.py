@@ -18,14 +18,13 @@ of each coordinate turns the mixture back into a copula density:
 
     c(u, v) = (1/n) sum_i N2(z, w | z_i, w_i, S) / (phi(z) phi(w))
 
-with z = Phi^-1(u), w = Phi^-1(v) and bandwidth matrix
-S = [[sz^2, g], [g, sw^2]].
+with z = Phi^-1(u), w = Phi^-1(v) and the diagonal bandwidth matrix
+S = diag(sz^2, sw^2), so each kernel is a product of two 1-d Gaussians.
 
-The h-function of that mixture has a closed form. Conditioning the
-bivariate Gaussian kernel i on w gives mean m_i = z_i + (g/sw^2)(w - w_i)
-and variance sc^2 = sz^2 - g^2/sw^2, so
+The h-function of that mixture has a closed form. Conditioning kernel i
+on w leaves its z-coordinate at mean z_i with variance sz^2, so
 
-    raw(u | v) = (1/(n phi(w))) sum_i N(w | w_i, sw^2) Phi((z - m_i)/sc)
+    raw(u | v) = (1/(n phi(w))) sum_i N(w | w_i, sw^2) Phi((z - z_i)/sz)
 
 which is divided by its u -> 1 limit so the conditional cdf reaches
 exactly 1. That normalized form is a convex combination of Gaussian
@@ -35,14 +34,11 @@ Evaluation. Both sums form a (queries x centers) matrix, one block of
 statcore.row_blocks rows at a time, and reduce each row on its own. A
 matrix row that depends on one argument only is computed once per
 distinct value of that argument and gathered per block: the softmax
-weights always (they depend on the conditioning value), and, when
-g == 0, the Gaussian-cdf factor and the two halves sw^2 dz^2 and
-sz^2 dw^2 of the quadratic form. With g == 0 the dropped terms
-(g/sw^2) dc and 2 g dz dw are +-0, so leaving them out is exact. Only
-arguments with at least 64 entries, at most half of them distinct, are
-tabulated; the others run row by row. Either way every row holds the
-same bits, so the results do not depend on the block size or on which
-arguments were tabulated.
+weights, the Gaussian-cdf factor and the two halves sw^2 dz^2 and
+sz^2 dw^2 of the quadratic form. Only arguments with at least 64
+entries, at most half of them distinct, are tabulated; the others run
+row by row. Either way every row holds the same bits, so the results do
+not depend on the block size or on which arguments were tabulated.
 """
 
 from __future__ import annotations
@@ -95,16 +91,14 @@ class _Copula:
 class KernelCopula(_Copula):
     """Gaussian-transform kernel copula.
 
-    z_centers, w_centers are the transformed pseudo-observations,
-    sigma_z/sigma_w the per-coordinate bandwidths, gamma the
-    off-diagonal of the bandwidth matrix (0 by default).
+    z_centers, w_centers are the transformed pseudo-observations and
+    sigma_z/sigma_w the per-coordinate bandwidths.
     """
 
     z_centers: np.ndarray
     w_centers: np.ndarray
     sigma_z: float
     sigma_w: float
-    gamma: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "z_centers", np.asarray(self.z_centers, dtype=float).ravel())
@@ -113,15 +107,13 @@ class KernelCopula(_Copula):
             raise ValueError("center vectors must be non-empty and of equal length")
         if not (self.sigma_z > 0.0 and self.sigma_w > 0.0):
             raise ValueError("bandwidths must be positive")
-        if not self.gamma**2 < self.sigma_z**2 * self.sigma_w**2:
-            raise ValueError("bandwidth matrix must be positive definite (gamma^2 < sz^2 sw^2)")
 
     @classmethod
-    def fit(cls, u, v, gamma: float = 0.0) -> "KernelCopula":
+    def fit(cls, u, v) -> "KernelCopula":
         """Fit from pseudo-observations strictly inside (0, 1).
 
         Bandwidths follow the dim=2 Silverman rule on the transformed
-        coordinates; gamma defaults to a diagonal bandwidth matrix.
+        coordinates.
         """
         ua = np.asarray(u, dtype=float).ravel()
         va = np.asarray(v, dtype=float).ravel()
@@ -131,7 +123,7 @@ class KernelCopula(_Copula):
         _check_open_unit("v", va)
         z = ndtri(ua)
         w = ndtri(va)
-        return cls(z, w, silverman_bandwidth(z, dim=2), silverman_bandwidth(w, dim=2), gamma)
+        return cls(z, w, silverman_bandwidth(z, dim=2), silverman_bandwidth(w, dim=2))
 
     @property
     def n(self) -> int:
@@ -141,31 +133,21 @@ class KernelCopula(_Copula):
     def log_density(self, u, v):
         z = ndtri(_clamp(u))
         w = ndtri(_clamp(v))
-        sz2, sw2, g = self.sigma_z**2, self.sigma_w**2, self.gamma
-        det = sz2 * sw2 - g**2
-        zc, wc = self.z_centers, self.w_centers
-        if g == 0.0:
-            # the cross term 2 g dz dw is +-0: leaving it out is exact
-            def part(x, centers, s2):
-                d = x[:, None] - centers
-                sq = s2 * d
-                sq *= d
-                return sq
+        sz2, sw2 = self.sigma_z**2, self.sigma_w**2
+        det = sz2 * sw2
 
-            z_part = _rows_of(z, self.n, lambda zb: part(zb, zc, sw2))
-            w_part = _rows_of(w, self.n, lambda wb: part(wb, wc, sz2))
+        def part(x, centers, s2):
+            d = x[:, None] - centers
+            sq = s2 * d
+            sq *= d
+            return sq
 
-            def quad_form(blk):
-                return z_part(blk) + w_part(blk)
-        else:
-            def quad_form(blk):
-                dz = z[blk, None] - zc
-                dw = w[blk, None] - wc
-                return sw2 * dz * dz - 2.0 * g * dz * dw + sz2 * dw * dw
+        z_part = _rows_of(z, self.n, lambda zb: part(zb, self.z_centers, sw2))
+        w_part = _rows_of(w, self.n, lambda wb: part(wb, self.w_centers, sz2))
 
         out = np.empty(z.shape, dtype=float)
         for blk in row_blocks(z.size, self.n):
-            quad = quad_form(blk)
+            quad = z_part(blk) + w_part(blk)
             quad /= det
             quad *= -0.5
             m = quad.max(axis=1)
@@ -174,17 +156,14 @@ class KernelCopula(_Copula):
         out += 0.5 * (z * z + w * w) - np.log(self.n) - 0.5 * np.log(det)
         return out
 
-    def _h(self, q, c, q_centers, c_centers, sigma_q, sigma_c_marg):
+    def _h(self, q, c, q_centers, c_centers, sigma_q, sigma_c):
         """Shared conditional cdf: P(Q <= q | C = c)."""
         qa = ndtri(_clamp(q))
         ca = ndtri(_clamp(c))
-        cond_var = sigma_q**2 - self.gamma**2 / sigma_c_marg**2
-        sc = np.sqrt(cond_var)
-        slope = self.gamma / sigma_c_marg**2
 
         def softmax_weights(cb):
             logw = cb[:, None] - c_centers
-            logw /= sigma_c_marg
+            logw /= sigma_c
             logw *= logw
             logw *= -0.5
             logw -= logw.max(axis=1, keepdims=True)
@@ -192,19 +171,13 @@ class KernelCopula(_Copula):
             weights /= weights.sum(axis=1, keepdims=True)
             return weights
 
-        def cdfs(qb, mu):
-            t = qb[:, None] - mu
-            t /= sc
+        def cdfs(qb):
+            t = qb[:, None] - q_centers
+            t /= sigma_q
             return ndtr(t, out=t)
 
         weights_of = _rows_of(ca, self.n, softmax_weights)
-        if self.gamma == 0.0:
-            # slope * dc is +-0: the means are the centers, exactly
-            cdfs_of = _rows_of(qa, self.n, lambda qb: cdfs(qb, q_centers))
-        else:
-            def cdfs_of(blk):
-                return cdfs(qa[blk], q_centers + slope * (ca[blk, None] - c_centers))
-
+        cdfs_of = _rows_of(qa, self.n, cdfs)
         out = np.empty(qa.shape, dtype=float)
         for blk in row_blocks(qa.size, self.n):
             terms = cdfs_of(blk)

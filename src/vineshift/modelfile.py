@@ -36,7 +36,7 @@ def _copula_doc(cop) -> dict:
                 "w_centers": _floats(cop.w_centers),
                 "sigma_z": float(cop.sigma_z),
                 "sigma_w": float(cop.sigma_w),
-                "gamma": float(cop.gamma)}
+                "gamma": 0.0}
     if isinstance(cop, GaussianCopula):
         return {"family": "gaussian", "rho": float(cop.rho)}
     if isinstance(cop, IndependenceCopula):
@@ -47,10 +47,12 @@ def _copula_doc(cop) -> dict:
 def _copula_from(doc: dict):
     fam = doc.get("family")
     if fam == "kernel":
+        # the bandwidth matrix is diagonal; the key stays for re-saves
+        if float(doc["gamma"]) != 0.0:
+            raise ParseError(f"kernel copula gamma must be 0, got {doc['gamma']!r}")
         return KernelCopula(np.asarray(doc["z_centers"], dtype=float),
                             np.asarray(doc["w_centers"], dtype=float),
-                            float(doc["sigma_z"]), float(doc["sigma_w"]),
-                            float(doc["gamma"]))
+                            float(doc["sigma_z"]), float(doc["sigma_w"]))
     if fam == "gaussian":
         return GaussianCopula(float(doc["rho"]))
     if fam == "independence":
@@ -168,6 +170,8 @@ def model_from_doc(doc) -> VineModel:
     if model.norm_mean is not None and (model.norm_mean.size != d
                                         or model.norm_std.size != d):
         raise ParseError("normalization vectors do not match variable count")
+    if model.norm_std is not None and not np.all(model.norm_std > 0.0):
+        raise ParseError("normalization std must be positive")
     return model
 
 

@@ -241,21 +241,9 @@ def base_samples(U: np.ndarray) -> dict:
             for i, col in enumerate(U.T)}
 
 
-def propagate_arguments(trees: list, U: np.ndarray, copula_of=None) -> list:
-    """Argument samples (edge, s1, s2) for every stored edge.
-
-    U is an (n, d) matrix of pseudo-observations; columns holding any
-    nan mark variables absent from the data, and any edge whose
-    constraint touches one yields (edge, None, None). copula_of lets a
-    caller propagate h-values through substitute copulas; default is
-    each edge's own copula.
-    """
-    return list(walk(trees, base_samples(U), copula_of))
-
-
-def _fit_edge_copula(family: str, s1: np.ndarray, s2: np.ndarray, gamma: float):
+def _fit_edge_copula(family: str, s1: np.ndarray, s2: np.ndarray):
     if family == "kernel":
-        return KernelCopula.fit(s1, s2, gamma=gamma)
+        return KernelCopula.fit(s1, s2)
     if family == "gaussian":
         return GaussianCopula.fit(s1, s2)
     raise ValueError(f"unknown copula family '{family}'")
@@ -360,7 +348,7 @@ class VineModel:
         return rec(int(var), frozenset(int(i) for i in cond))
 
 
-def fit_vine(data, truncation: int = 1, family: str = "kernel", gamma: float = 0.0,
+def fit_vine(data, truncation: int = 1, family: str = "kernel",
              variable_names=None, target_index: int | None = None,
              normalize: bool = False, seed: int | None = None) -> VineModel:
     """Fit marginals, pseudo-observations and trees T_1..truncation.
@@ -413,7 +401,7 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel", gamma: float = 0
     # benefit, so the last fitted level skips them
     F = base_samples(U)
     for edge, s1, s2 in walk(grow(), F, reads=lambda key: len(key[1]) < levels):
-        edge.copula = _fit_edge_copula(family, s1, s2, gamma)
+        edge.copula = _fit_edge_copula(family, s1, s2)
 
     for t in trees:
         if len(t.edges) != d - t.level:

@@ -4,10 +4,14 @@ Everything runs in-process: main() is called with argv lists and its
 integer return value is checked against the documented exit codes.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vineshift import cli, modelfile
 from vineshift.cli import main
@@ -227,6 +231,25 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("corrupt", ["zero_std", "negative_std", "nonzero_gamma"])
+    def test_refused_model_values_exit_2_with_one_line(self, workdir, tmp_path, capsys,
+                                                       corrupt):
+        # a zero std divides by zero when scoring (TLL printed as nan);
+        # kernel copulas carry no off-diagonal bandwidth
+        model_path = tmp_path / "m.json"
+        assert run("fit", workdir / "train.csv", "-o", model_path, "--normalize") == 0
+        doc = json.loads(model_path.read_text())
+        if corrupt == "nonzero_gamma":
+            doc["trees"][0]["edges"][0]["copula"]["gamma"] = 0.05
+        else:
+            doc["normalization"]["std"][0] = 0.0 if corrupt == "zero_std" else -1.0
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", model_path, workdir / "test.csv", "--grid-points", 65) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "TLL" not in captured.out
+
 
 @pytest.fixture(scope="module")
 def adapted(workdir, tmp_path_factory):
@@ -343,3 +366,90 @@ class TestDensityBench:
         lines = csv.read_text().strip().split("\n")
         assert lines[0] == "dataset,method,repetition,tll"
         assert len(lines) == 1 + 3 * 3 * 2  # datasets x methods x reps
+
+
+class TestSourceRows:
+    """adapt recovers the source rows from the marginal kernel centres."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_recovered_rows_equal_training_rows(self, tmp_path, seed, normalize):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((60, 4)) * [0.01, 1.0, 37.0, 1000.0] + [5.0, -2.0, 0.0, 1e4]
+        write_csv(tmp_path / "train.csv", Dataset(["a", "b", "c", "y"], X))
+        flags = ["--normalize"] if normalize else []
+        assert run("fit", tmp_path / "train.csv", "-o", tmp_path / "m.json", *flags) == 0
+        model = modelfile.load(tmp_path / "m.json")
+        rows = cli._source_dataset(model).X
+        if normalize:
+            # mean + std * ((x - mean) / std) rounds three times: to first
+            # order |error| <= eps (1.5 |x - mean| + 0.5 |x|), many ulps of
+            # x itself when x is much closer to 0 than to its column mean
+            bound = 2.0 * np.finfo(float).eps * (np.abs(X) + np.abs(X - model.norm_mean))
+            assert np.all(np.abs(rows - X) <= bound)
+        else:
+            assert np.array_equal(rows, X)
+
+
+# Cells, lines and cuts that a corrupted CSV may hold.
+CSV_TOKENS = ["nan", "inf", "-inf", "", "abc", "1e999", "5e-324", "0", "-0", "1,5",
+              "3.5", "1e6", "x0", "y", '"', "\t"]
+EXIT_CODES = {0, 1, 2, 3, 4, 5}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A small clean CSV and a model fitted to it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert run("gen", "regression", "-o", root / "base.csv", "-n", 40, "-d", 3,
+               "--seed", 3) == 0
+    assert run("fit", root / "base.csv", "-o", root / "model.json", "--seed", 0) == 0
+    return root
+
+
+def _corrupt(text: str, edits) -> str:
+    lines = text.splitlines()
+    for kind, i, j, token in edits:
+        if kind == "truncate":
+            text = "\n".join(lines)
+            lines = text[:i % (len(text) + 1)].splitlines()
+        elif lines and kind == "drop_line":
+            del lines[i % len(lines)]
+        elif lines:
+            cells = lines[i % len(lines)].split(",")
+            cells[j % len(cells)] = token
+            lines[i % len(lines)] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@given(command=st.sampled_from(["fit", "predict", "eval", "adapt", "mmd-test"]),
+       edits=st.lists(st.tuples(st.sampled_from(["cell", "cell", "drop_line", "truncate"]),
+                                st.integers(0, 10**6), st.integers(0, 10**6),
+                                st.sampled_from(CSV_TOKENS)),
+                      min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_corrupted_csv_gives_documented_exit_code(fuzz_dir, command, edits):
+    # every subcommand that reads a CSV returns a documented exit code and,
+    # unless it succeeded or mmd-test found a difference, one error line
+    base, model = fuzz_dir / "base.csv", fuzz_dir / "model.json"
+    bad = fuzz_dir / "bad.csv"
+    bad.write_text(_corrupt(base.read_text(), edits))
+    argv = {
+        "fit": ["fit", bad, "-o", fuzz_dir / "fitted.json"],
+        "predict": ["predict", model, bad, "-o", fuzz_dir / "pred.csv", "--grid-points", 33],
+        "eval": ["eval", model, bad, "--grid-points", 33],
+        "adapt": ["adapt", model, "-o", fuzz_dir / "adapted.json",
+                  "--target-labeled", bad, "--permutations", 50],
+        "mmd-test": ["mmd-test", base, bad, "--permutations", 50],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    assert code in EXIT_CODES
+    if code == 0 or (command == "mmd-test" and code == 1):
+        assert err.getvalue() == ""
+        assert "nan" not in out.getvalue()
+        if command == "predict":
+            assert "nan" not in (fuzz_dir / "pred.csv").read_text()
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

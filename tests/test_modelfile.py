@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from vineshift.modelfile import (FORMAT, FORMAT_VERSION, load, model_from_doc,
                                  model_to_doc, save)
 from vineshift.rvine import fit_vine
 from vineshift.synth import gaussian_copula_chain
+
+# A normalized kernel fit (24 rows, 3 variables, truncation 2) saved by the
+# version-1 writer while kernel copulas still had an off-diagonal bandwidth
+# parameter; each copula carries "gamma": 0.0.
+EARLIER_FILE = Path(__file__).resolve().parent / "data" / "kernel_model_v1.json"
 
 
 def sample_model(seed=70, normalize=False, family="kernel", truncation=3):
@@ -42,6 +48,12 @@ class TestRoundTrip:
         save(model, p1)
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_earlier_file_loads_and_resaves_byte_identically(self, tmp_path):
+        assert EARLIER_FILE.read_text().count('"gamma": 0.0') == 3
+        path = tmp_path / "m.json"
+        save(load(EARLIER_FILE), path)
+        assert path.read_bytes() == EARLIER_FILE.read_bytes()
 
     def test_same_fit_same_bytes(self, tmp_path):
         p1 = tmp_path / "a.json"
@@ -201,4 +213,30 @@ class TestValidation:
         edges = doc["trees"][level]["edges"]
         edges[1] = json.loads(json.dumps(edges[0]))
         with pytest.raises(ParseError, match="do not form a tree"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_non_positive_normalization_std_rejected(self, std):
+        doc = model_to_doc(sample_model(normalize=True))
+        doc["normalization"]["std"][0] = std
+        with pytest.raises(ParseError, match="std must be positive"):
+            model_from_doc(doc)
+
+
+class TestKernelGamma:
+    """Kernel copulas have a diagonal bandwidth matrix: the stored gamma is 0."""
+
+    @pytest.mark.parametrize("gamma", [0.05, -0.05, 1e-300])
+    def test_nonzero_gamma_rejected(self, tmp_path, gamma):
+        doc = model_to_doc(sample_model())
+        doc["trees"][1]["edges"][0]["copula"]["gamma"] = gamma
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="gamma must be 0"):
+            load(path)
+
+    def test_missing_gamma_rejected(self):
+        doc = model_to_doc(sample_model())
+        del doc["trees"][0]["edges"][0]["copula"]["gamma"]
+        with pytest.raises(ParseError):
             model_from_doc(doc)

@@ -112,8 +112,8 @@ class TestConditionalDensity:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_batch_matches_joint_density_on_grid(self, normalize):
         # independent oracle: the joint density of (x, y) for y on the
-        # grid, through VineModel.log_density and propagate_arguments,
-        # normalized over the grid; feature-only factors cancel
+        # grid, through VineModel.log_density, normalized over the grid;
+        # feature-only factors cancel
         rng = np.random.default_rng(64)
         ds = regression_task(250, rng, d=6, rho=0.6)
         model = fit_vine(ds.X, truncation=3, variable_names=ds.names,

@@ -8,9 +8,9 @@ from scipy import integrate
 from vineshift.errors import (DegenerateDataError, InsufficientDataError,
                               StructureError)
 from vineshift.bicopula import IndependenceCopula
-from vineshift.rvine import (VineEdge, VineTree, build_first_tree,
+from vineshift.rvine import (VineEdge, VineTree, base_samples, build_first_tree,
                              build_next_tree, fit_vine,
-                             prim_max_spanning_tree, propagate_arguments, walk)
+                             prim_max_spanning_tree, walk)
 from vineshift.statcore import rank_pseudo_observations
 from vineshift.synth import gaussian_copula_chain
 
@@ -336,7 +336,7 @@ class TestPropagateArguments:
         model = fit_vine(ds.X, truncation=3)
         U = np.column_stack([rank_pseudo_observations(ds.X[:, i])
                              for i in range(4)])
-        triples = propagate_arguments(model.trees, U)
+        triples = list(walk(model.trees, base_samples(U)))
         assert len(triples) == sum(len(t.edges) for t in model.trees)
         for edge, s1, s2 in triples:
             assert s1.shape == (200,)
@@ -351,7 +351,7 @@ class TestPropagateArguments:
                              for i in range(4)])
         poisoned = 2
         U[:, poisoned] = np.nan
-        for edge, s1, s2 in propagate_arguments(model.trees, U):
+        for edge, s1, s2 in walk(model.trees, base_samples(U)):
             if poisoned in edge.constraint:
                 assert s1 is None and s2 is None
             else:
@@ -367,9 +367,9 @@ class TestPropagateArguments:
                              for i in range(3)])
         from vineshift.bicopula import IndependenceCopula
         swap = {id(model.trees[0].edges[0]): IndependenceCopula()}
-        base = propagate_arguments(model.trees, U)
-        alt = propagate_arguments(model.trees, U,
-                                  copula_of=lambda e: swap.get(id(e), e.copula))
+        base = list(walk(model.trees, base_samples(U)))
+        alt = list(walk(model.trees, base_samples(U),
+                        copula_of=lambda e: swap.get(id(e), e.copula)))
         # T1 arguments identical, T2 arguments must differ
         assert_allclose(alt[0][1], base[0][1])
         changed = any(not np.allclose(a[1], b[1])
@@ -410,7 +410,7 @@ class TestWalk:
                                  VineEdge((0, 3), frozenset({1}), (0, 2), IndependenceCopula())])
         U = np.random.default_rng(44).random((30, 4))
         with pytest.raises(StructureError):
-            propagate_arguments([first, second], U)
+            list(walk([first, second], base_samples(U)))
 
     def test_one_h_value_per_key_read_later(self):
         rng = np.random.default_rng(45)
@@ -433,7 +433,7 @@ class TestWalk:
                 return self.edge.copula.cdf_v_given_u(u, v)
 
         U = np.column_stack([rank_pseudo_observations(ds.X[:, i]) for i in range(5)])
-        propagate_arguments(model.trees, U, copula_of=Counting)
+        list(walk(model.trees, base_samples(U), copula_of=Counting))
         reads = [(v, e.conditioning) for t in model.trees[1:] for e in t.edges
                  for v in e.conditioned]
         assert sorted(computed, key=repr) == sorted(reads, key=repr)
