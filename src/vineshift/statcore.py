@@ -1,8 +1,8 @@
 """Scalar statistical primitives.
 
-One-dimensional Gaussian kernel density models with Silverman
-bandwidths, rank transforms, and an exact O(n log n) Kendall rank
-correlation. All of it is vectorised numpy:
+Standard-normal special functions, one-dimensional Gaussian kernel
+density models with Silverman bandwidths, rank transforms, and an exact
+O(n log n) Kendall rank correlation. All of it is vectorised numpy:
 Kendall tau counts its discordant pairs as the inversions of a rank
 sequence, one rank bit per step, and the kernel quantile bisects all
 points at once. Everything here is a pure function of its inputs;
@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDataError, InsufficientDataError
 
@@ -65,6 +65,25 @@ def elementwise(body):
 def _check_open_unit(name: str, values: np.ndarray):
     if np.any(values <= 0.0) or np.any(values >= 1.0):
         raise ValueError(f"{name} must lie strictly in (0, 1)")
+
+
+@elementwise
+def std_normal_pdf(x):
+    """Standard Gaussian density exp(-x^2/2)/sqrt(2*pi)."""
+    return np.exp(-0.5 * x * x) / _SQRT_2PI
+
+
+@elementwise
+def std_normal_cdf(x):
+    """Standard Gaussian cdf. Accepts +-inf, mapping to 1/0."""
+    return ndtr(x)
+
+
+@elementwise
+def std_normal_quantile(p):
+    """Inverse standard Gaussian cdf on the open interval (0, 1)."""
+    _check_open_unit("quantile argument", p)
+    return ndtri(p)
 
 
 def silverman_bandwidth(sample, dim: int = 1) -> float:
@@ -312,4 +331,7 @@ __all__ = [
     "pseudo_observations",
     "rank_pseudo_observations",
     "silverman_bandwidth",
+    "std_normal_cdf",
+    "std_normal_pdf",
+    "std_normal_quantile",
 ]

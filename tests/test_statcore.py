@@ -18,7 +18,8 @@ from vineshift.errors import DegenerateDataError, InsufficientDataError
 from vineshift.statcore import (GaussianKernel1D, kendall_tau,
                                 pseudo_observations,
                                 rank_pseudo_observations,
-                                silverman_bandwidth)
+                                silverman_bandwidth, std_normal_cdf,
+                                std_normal_pdf, std_normal_quantile)
 
 # mpmath 50-digit references:
 #   npdf(0)   = 0.39894228040143267793994605993438186847585863116493
@@ -27,6 +28,35 @@ from vineshift.statcore import (GaussianKernel1D, kendall_tau,
 PHI_0 = 0.3989422804014327
 PHI_1 = 0.24197072451914335
 NCDF_1 = 0.8413447460685429
+
+
+class TestNormalFunctions:
+    def test_pdf_reference_values(self):
+        assert_allclose(std_normal_pdf(0.0), PHI_0, rtol=1e-15)
+        assert_allclose(std_normal_pdf(1.0), PHI_1, rtol=1e-15)
+        assert_allclose(std_normal_pdf(-1.0), PHI_1, rtol=1e-15)
+
+    def test_cdf_reference_values(self):
+        assert_allclose(std_normal_cdf(0.0), 0.5, rtol=1e-15)
+        assert_allclose(std_normal_cdf(1.0), NCDF_1, rtol=1e-15)
+        assert_allclose(std_normal_cdf(-1.0), 1.0 - NCDF_1, rtol=1e-12)
+        assert std_normal_cdf(np.inf) == 1.0
+        assert std_normal_cdf(-np.inf) == 0.0
+
+    def test_quantile_inverts_cdf(self):
+        p = np.linspace(0.001, 0.999, 41)
+        assert_allclose(std_normal_cdf(std_normal_quantile(p)), p, atol=1e-13)
+
+    def test_quantile_rejects_boundary(self):
+        with pytest.raises(ValueError):
+            std_normal_quantile(0.0)
+        with pytest.raises(ValueError):
+            std_normal_quantile(1.0)
+
+    def test_vector_shapes(self):
+        x = np.zeros((3, 2))
+        assert std_normal_pdf(x).shape == (3, 2)
+        assert isinstance(std_normal_pdf(0.5), float)
 
 
 class TestSilvermanBandwidth:
@@ -161,8 +191,10 @@ def _elementwise_methods():
     x = rng.standard_normal(80)
     u, v = rank_pseudo_observations(x), rank_pseudo_observations(x + rng.standard_normal(80))
     kern = GaussianKernel1D.fit(x)
-    out = [pytest.param(getattr(kern, name), 1, id=f"GaussianKernel1D.{name}")
-           for name in ("pdf", "logpdf", "cdf", "quantile")]
+    out = [pytest.param(f, 1, id=f.__name__)
+           for f in (std_normal_pdf, std_normal_cdf, std_normal_quantile)]
+    out += [pytest.param(getattr(kern, name), 1, id=f"GaussianKernel1D.{name}")
+            for name in ("pdf", "logpdf", "cdf", "quantile")]
     for cop in (KernelCopula.fit(u, v), GaussianCopula.fit(u, v), IndependenceCopula()):
         out += [pytest.param(getattr(cop, name), 2, id=f"{type(cop).__name__}.{name}")
                 for name in ("log_density", "density", "cdf_u_given_v", "cdf_v_given_u")]
