@@ -106,12 +106,14 @@ def silverman_bandwidth(sample, dim: int = 1) -> float:
     return sigma * (4.0 / (dim + 2.0)) ** (1.0 / (dim + 4.0)) * n ** (-1.0 / (dim + 4.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianKernel1D:
     """Gaussian kernel mixture with one common bandwidth.
 
     pdf(x)  = (1/(n h)) sum_i phi((x - c_i)/h)
     cdf(x)  = (1/n) sum_i Phi((x - c_i)/h)
+
+    Equality and hashing are by identity.
     """
 
     centers: np.ndarray

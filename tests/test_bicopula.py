@@ -41,6 +41,8 @@ class TestKernelCopulaBasics:
         with pytest.raises(ValueError):
             KernelCopula([0.0], [0.0], -1.0, 1.0)
         with pytest.raises(ValueError):
+            KernelCopula([0.0], [0.0], 1.0, np.inf)
+        with pytest.raises(ValueError):
             KernelCopula.fit([0.0, 0.5], [0.5, 0.5])
 
     def test_fit_stores_transformed_points(self):
@@ -75,15 +77,15 @@ class TestKernelCopulaNormalization:
         assert_allclose(gauss_legendre_integral(cop), 1.0, atol=5e-3)
 
     def test_margin_integral_closed_form(self):
-        # int_0^1 c(u0, t) dt equals the z-margin of the kernel mixture
-        # over the standard normal density at z0 = ndtri(u0); margins
-        # are near-uniform but not exactly so
+        # int_0^1 c(u0, t) dt of the exact sums equals the z-margin of the
+        # kernel mixture over the standard normal density at z0 = ndtri(u0);
+        # margins are near-uniform but not exactly so
         rng = np.random.default_rng(14)
         u = rank_pseudo_observations(rng.standard_normal(100))
         v = rank_pseudo_observations(rng.standard_normal(100))
         cop = KernelCopula.fit(u, v)
         for u0 in (0.2, 0.5, 0.8):
-            total, _ = integrate.quad(lambda t: cop.density(u0, t),
+            total, _ = integrate.quad(lambda t: np.exp(cop._exact_log_density(u0, t)),
                                       1e-10, 1 - 1e-10, limit=300)
             z0 = ndtri(u0)
             mix = np.mean(stats.norm.pdf((z0 - cop.z_centers) / cop.sigma_z)
@@ -95,20 +97,19 @@ class TestKernelCopulaNormalization:
 
 class TestKernelHFunction:
     def test_h_is_normalized_cdf_of_density_slice(self):
-        # h(u|v) = int_0^u c(s, v) ds / int_0^1 c(s, v) ds; the slice
-        # must be renormalized because the mixture margins are not
-        # exactly uniform
+        # h(u|v) = int_0^u c(s, v) ds / int_0^1 c(s, v) ds for the exact
+        # sums; the slice must be renormalized because the mixture
+        # margins are not exactly uniform
         rng = np.random.default_rng(15)
         z = rng.standard_normal((80, 2))
         x, y = z[:, 0], 0.7 * z[:, 0] + np.sqrt(0.51) * z[:, 1]
         cop = KernelCopula.fit(rank_pseudo_observations(x),
                                rank_pseudo_observations(y))
+        density = lambda s, v0: np.exp(cop._exact_log_density(s, v0))
         for u0, v0 in [(0.3, 0.5), (0.7, 0.2), (0.5, 0.9)]:
-            num, _ = integrate.quad(lambda s: cop.density(s, v0), 1e-12, u0,
-                                    limit=400)
-            den, _ = integrate.quad(lambda s: cop.density(s, v0), 1e-12,
-                                    1 - 1e-12, limit=400)
-            assert_allclose(cop.cdf_u_given_v(u0, v0), num / den, atol=1e-6)
+            num, _ = integrate.quad(density, 1e-12, u0, args=(v0,), limit=400)
+            den, _ = integrate.quad(density, 1e-12, 1 - 1e-12, args=(v0,), limit=400)
+            assert_allclose(cop._exact_cdf_u_given_v(u0, v0), num / den, atol=1e-6)
 
     def test_h_monotone_and_bounded(self):
         rng = np.random.default_rng(16)
@@ -127,7 +128,7 @@ class TestKernelHFunction:
         # single kernel: weights are 1 regardless of v, so h(u|v) is
         # independent of v entirely
         for v0 in (0.1, 0.5, 0.9):
-            assert_allclose(cop.cdf_u_given_v(0.3, v0),
+            assert_allclose(cop._exact_cdf_u_given_v(0.3, v0),
                             stats.norm.cdf(ndtri(0.3)), rtol=1e-12)
 
     def test_h_inverse_roundtrip(self):
@@ -187,8 +188,20 @@ def query_sets(rng, u, v):
     }
 
 
+def fitted(n, seed):
+    """A kernel copula fitted to n rows of a correlated Gaussian pair, and n held-out rows."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2 * n, 2))
+    x, y = z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]
+    u, v = rank_pseudo_observations(x), rank_pseudo_observations(y)
+    return KernelCopula.fit(u[:n], v[:n]), (u[:n], v[:n]), (u[n:], v[n:])
+
+
+METHODS = ("log_density", "cdf_u_given_v", "cdf_v_given_u")
+
+
 class TestKernelCopulaEvaluation:
-    """Tables per distinct argument and blocks must not move a single bit."""
+    """The exact sums, their tables, and what a query's value may depend on."""
 
     @pytest.fixture
     def cop(self):
@@ -202,22 +215,97 @@ class TestKernelCopulaEvaluation:
         u, v = rng.uniform(size=150), rng.uniform(size=150)
         for name, (a, b) in query_sets(rng, u, v).items():
             ld, hu, hv = row_by_row(cop, a, b)
-            assert np.array_equal(cop.log_density(a, b), ld), name
-            assert np.array_equal(cop.cdf_u_given_v(a, b), hu), name
-            assert np.array_equal(cop.cdf_v_given_u(a, b), hv), name
+            assert np.array_equal(cop._exact_log_density(a, b), ld), name
+            assert np.array_equal(cop._exact_cdf_u_given_v(a, b), hu), name
+            assert np.array_equal(cop._exact_cdf_v_given_u(a, b), hv), name
 
-    def test_tabulated_equals_per_row(self, cop, monkeypatch):
+    def test_query_value_does_not_depend_on_batch(self, cop):
         rng = np.random.default_rng(23)
         u, v = rng.uniform(size=150), rng.uniform(size=150)
         cases = dict(query_sets(rng, u, v), scalar=(0.3, 0.7))
-        methods = (cop.log_density, cop.cdf_u_given_v, cop.cdf_v_given_u)
-        tabulated = {name: [f(a, b) for f in methods] for name, (a, b) in cases.items()}
-        monkeypatch.setattr(bicopula, "_TABLE_MIN_ENTRIES", 10**9)
         for name, (a, b) in cases.items():
-            for f, expect in zip(methods, tabulated[name]):
+            for method in METHODS:
+                f = getattr(cop, method)
                 got = f(a, b)
-                assert type(got) is type(expect), name
-                assert np.array_equal(got, expect), name
+                alone = [f(x, y) for x, y in zip(np.ravel(a), np.ravel(b))]
+                assert type(got) is (float if np.ndim(a) == 0 else np.ndarray), name
+                assert np.array_equal(np.ravel(got), alone), (name, method)
+
+    @pytest.mark.parametrize("n", [60, 300, 1200])
+    def test_tables_match_exact_sums(self, n):
+        cop, sample, held_out = fitted(n, n)
+        assert cop._tabulated
+        g = np.linspace(0.001, 0.999, 40)
+        grid = (np.repeat(g, 40), np.tile(g, 40))
+        for (a, b), log_c_tol in ((sample, 5e-4), (held_out, 5e-4), (grid, 5e-2)):
+            for method, tol in zip(METHODS, (log_c_tol, 5e-5, 5e-5)):
+                got = getattr(cop, method)(a, b)
+                expect = getattr(cop, "_exact_" + method)(a, b)
+                assert np.abs(got - expect).max() <= tol, method
+            assert np.isfinite(cop.log_density(a, b)).all()
+
+    def test_underflowed_nodes_take_exact_log_sum_exp(self):
+        # centres on the diagonal: at (z, w) = (6, -6) each axis has centres
+        # near, but no centre is near both, and the weight product underflows
+        t = np.linspace(-3.0, 3.0, 200)
+        cop = KernelCopula(t, t, 0.08, 0.08)
+        assert cop._tabulated
+        u, v = ndtr(np.array([6.0, 5.0, -6.0, 2.0])), ndtr(np.array([-6.0, -5.5, 6.0, -2.0]))
+        got = cop.log_density(u, v)
+        assert np.isfinite(got).all() and got.max() < -500.0
+        assert_allclose(got, cop._exact_log_density(u, v), rtol=1e-8)
+
+    def test_memo_holds_a_five_table_cycle(self, cop, monkeypatch):
+        # row by row, a d=3 vine truncated at 2 reads five tables per row
+        builds = []
+        node_values = bicopula._node_values
+        monkeypatch.setattr(bicopula, "_node_values",
+                            lambda c, kind: builds.append(kind) or node_values(c, kind))
+        bicopula._spline_table.cache_clear()
+        other = KernelCopula(cop.w_centers, cop.z_centers, cop.sigma_w, cop.sigma_z)
+        reads = [(cop, m) for m in METHODS] + [(other, m) for m in METHODS[:2]]
+        for _ in range(3):
+            for c, method in reads:
+                getattr(c, method)(0.3, 0.6)
+        assert len(builds) == len(reads)
+
+    def test_tiny_bandwidth_sums_exactly(self, monkeypatch):
+        # sigma_z = 1e-4 would need about 4e5 nodes on the z axis
+        def no_table(cop, kind):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(bicopula, "_spline_table", no_table)
+        cop = KernelCopula([-1.0, 0.0, 0.5], [0.2, -0.3, 1.0], sigma_z=1e-4, sigma_w=0.5)
+        assert not cop._tabulated
+        rng = np.random.default_rng(24)
+        u = np.append(rng.uniform(size=50), [0.0, 1.0])
+        v = np.append(rng.uniform(size=50), [0.5, 0.0])
+        for method in METHODS:
+            got = getattr(cop, method)(u, v)
+            assert np.isfinite(got).all()
+            assert np.array_equal(got, getattr(cop, "_exact_" + method)(u, v))
+
+    def test_node_cap_switches_to_exact_sums(self, cop, monkeypatch):
+        rng = np.random.default_rng(25)
+        u, v = rng.uniform(size=50), rng.uniform(size=50)
+        tabulated = [getattr(cop, m)(u, v) for m in METHODS]
+        exact = [getattr(cop, "_exact_" + m)(u, v) for m in METHODS]
+        assert not any(np.array_equal(t, e) for t, e in zip(tabulated, exact))
+        nodes = 2 * int(bicopula._half_width(min(cop.sigma_z, cop.sigma_w))) + 1
+        monkeypatch.setattr(bicopula, "_MAX_NODES", nodes)
+        assert cop._tabulated
+        monkeypatch.setattr(bicopula, "_MAX_NODES", nodes - 1)
+        assert not cop._tabulated
+        for m, e in zip(METHODS, exact):
+            assert np.array_equal(getattr(cop, m)(u, v), e)
+
+    def test_equality_and_hash_are_by_identity(self):
+        u = np.array([0.2, 0.5, 0.9])
+        v = np.array([0.4, 0.6, 0.3])
+        a, b = KernelCopula.fit(u, v), KernelCopula.fit(u, v)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert a in [b, a] and b not in [a]
 
 
 class TestGaussianCopula:

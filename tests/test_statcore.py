@@ -144,6 +144,12 @@ class TestGaussianKernel1D:
         with pytest.raises(ValueError):
             GaussianKernel1D(centers=[1.0], bandwidth=0.0)
 
+    def test_equality_and_hash_are_by_identity(self):
+        a, b = GaussianKernel1D.fit([0.1, 0.4, 0.9]), GaussianKernel1D.fit([0.1, 0.4, 0.9])
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert a in [b, a] and b not in [a]
+
 
 class TestKernelSumBlocks:
     """Every kernel sum reduces rows on their own: no block size moves a bit."""
@@ -373,12 +379,13 @@ class TestPseudoObservations:
 
 
 def test_import_leaves_scipy_stats_and_optimize_unloaded():
-    """`import vineshift` stays cheap: scipy.stats and scipy.optimize load lazily."""
+    """`import vineshift` stays cheap: these scipy modules load lazily, if at all."""
     src = str(Path(vineshift.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, vineshift; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.interpolate', "
+            "'scipy.ndimage', 'scipy.linalg') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
