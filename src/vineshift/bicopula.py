@@ -36,9 +36,11 @@ sigma/3 on each axis that cover the clamped range +-Phi^-1(EPS) with
 two nodes to spare on each side. Every sum over centres is then
 sum_k A[i, k] B[j, k], a matrix product of per-axis factors: Gaussian
 cdfs or max-shifted Gaussian weights. Queries are answered by cubic
-B-spline interpolation of the table, whose coefficients solve the
-collocation equations with mirror boundaries, and interpolated h-values
-are clipped to [0, 1]; they differ from the exact sums by about 1e-5.
+B-spline interpolation of the table, and interpolated h-values are
+clipped to [0, 1]; they differ from the exact sums by about 1e-5. The
+coefficients are P_z V P_w', with V the node values and P the inverse
+of an axis's collocation matrix (mirror boundaries). P depends only on
+the axis's node count, so a small memo of inverses serves every table.
 A node where the weight product of log c underflows takes the exact
 log-sum-exp, so log densities stay finite. Tables are not stored on
 the copula: a small memo holds the last few built, which keeps a
@@ -175,11 +177,23 @@ def _collocation(size: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_MEMO_TABLES)
+def _prefilter(size: int) -> np.ndarray:
+    """Read-only inverse of _collocation(size).
+
+    An axis's size depends only on its bandwidth, and rank-based centres
+    give every copula fitted on n rows the same bandwidth, so a handful
+    of sizes serve every table of a vine.
+    """
+    inv = np.linalg.inv(_collocation(size))
+    inv.flags.writeable = False
+    return inv
+
+
+@functools.lru_cache(maxsize=_MEMO_TABLES)
 def _spline_table(cop: "KernelCopula", kind: str) -> np.ndarray:
     """Read-only cubic B-spline coefficients interpolating kind on cop's nodes."""
     values = _node_values(cop, kind)
-    coef = np.linalg.solve(_collocation(values.shape[0]), values)
-    coef = np.ascontiguousarray(np.linalg.solve(_collocation(values.shape[1]), coef.T).T)
+    coef = _prefilter(values.shape[0]) @ values @ _prefilter(values.shape[1]).T
     coef.flags.writeable = False
     return coef
 

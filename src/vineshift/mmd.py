@@ -4,7 +4,9 @@ Unbiased MMD^2 with an RBF kernel and permutation p-values. The
 permutation loop is expressed as one matrix product against a bank of
 relabeling indicator vectors, which keeps 200 permutations at n=1000
 within a fraction of a second while remaining exactly equal to the
-naive per-permutation evaluation.
+naive per-permutation evaluation. A test forms one pooled distance
+matrix: the median-heuristic bandwidth is read from it, and the kernel
+is then built in its memory.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+
+# Most pooled rows the median heuristic forms distances between.
+_MEDIAN_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,18 @@ def _sq_dists(Z: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _pooled_kernel(Xa: np.ndarray, Ya: np.ndarray, bandwidth: float):
-    """RBF kernel of the stacked sample with a zero diagonal, and its row sums."""
-    K = np.exp(_sq_dists(np.vstack([Xa, Ya])) / (-2.0 * bandwidth * bandwidth))
+def _kernel_from(d2: np.ndarray, bandwidth: float):
+    """RBF kernel with a zero diagonal, built in d2's memory, and its row sums."""
+    d2 /= -2.0 * bandwidth * bandwidth
+    K = np.exp(d2, out=d2)
     np.fill_diagonal(K, 0.0)
     return K, K.sum(axis=1)
+
+
+def _median_distance(d2: np.ndarray) -> float:
+    """Median of the distances above d2's diagonal, or 1.0 when it is zero."""
+    med = float(np.median(np.sqrt(d2[np.triu_indices(d2.shape[0], k=1)])))
+    return med if med > 0.0 else 1.0
 
 
 def median_heuristic(X, Y) -> float:
@@ -82,12 +94,10 @@ def median_heuristic(X, Y) -> float:
     Z = np.vstack([_as_matrix(X), _as_matrix(Y)])
     if Z.shape[0] < 2:
         raise InsufficientDataError("pooled sample needs at least 2 rows")
-    if Z.shape[0] > 1000:
-        idx = np.linspace(0, Z.shape[0] - 1, 1000).astype(int)
+    if Z.shape[0] > _MEDIAN_ROWS:
+        idx = np.linspace(0, Z.shape[0] - 1, _MEDIAN_ROWS).astype(int)
         Z = Z[idx]
-    iu = np.triu_indices(Z.shape[0], k=1)
-    med = float(np.median(np.sqrt(_sq_dists(Z)[iu])))
-    return med if med > 0.0 else 1.0
+    return _median_distance(_sq_dists(Z))
 
 
 def _stat_from_parts(quad, r_dot, total: float, n: int, m: int):
@@ -118,7 +128,8 @@ def mmd_statistic(X, Y, bandwidth: float) -> float:
     _check_pair(Xa, Ya)
     if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
-    return _observed(*_pooled_kernel(Xa, Ya, bandwidth), Xa.shape[0], Ya.shape[0])
+    K, r = _kernel_from(_sq_dists(np.vstack([Xa, Ya])), bandwidth)
+    return _observed(K, r, Xa.shape[0], Ya.shape[0])
 
 
 def permutation_test(X, Y, config: MmdConfig) -> TestResult:
@@ -126,14 +137,16 @@ def permutation_test(X, Y, config: MmdConfig) -> TestResult:
     Xa, Ya = _as_matrix(X), _as_matrix(Y)
     _check_pair(Xa, Ya)
     n, m = Xa.shape[0], Ya.shape[0]
+    N = n + m
+    d2 = _sq_dists(np.vstack([Xa, Ya]))
     bw = config.kernel_bandwidth
     if isinstance(bw, str):
-        bw = median_heuristic(Xa, Ya)
-    K, r = _pooled_kernel(Xa, Ya, bw)
+        # median_heuristic's distances are d2's unless it subsamples
+        bw = _median_distance(d2) if N <= _MEDIAN_ROWS else median_heuristic(Xa, Ya)
+    K, r = _kernel_from(d2, bw)
     observed = _observed(K, r, n, m)
 
     rng = np.random.default_rng(config.seed)
-    N = n + m
     B = config.permutations
     S = np.zeros((N, B))
     for b in range(B):

@@ -244,6 +244,31 @@ class TestKernelCopulaEvaluation:
                 assert np.abs(got - expect).max() <= tol, method
             assert np.isfinite(cop.log_density(a, b)).all()
 
+    @pytest.mark.parametrize("size", [5, 107, 512])
+    def test_prefilter_inverts_collocation(self, size):
+        inv = bicopula._prefilter(size)
+        assert np.abs(inv @ bicopula._collocation(size) - np.eye(size)).max() <= 1e-13
+        assert not inv.flags.writeable
+
+    def test_coefficients_match_dense_solve(self, cop):
+        for method in METHODS:
+            values = bicopula._node_values(cop, method)
+            expect = np.linalg.solve(bicopula._collocation(values.shape[0]), values)
+            expect = np.linalg.solve(bicopula._collocation(values.shape[1]), expect.T).T
+            got = bicopula._spline_table(cop, method)
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max(), method
+
+    def test_interpolant_reproduces_node_values(self, cop):
+        # the outermost node of each axis is never read: queries are clamped
+        # at least two nodes inside it
+        z, w = bicopula._nodes(cop.sigma_z)[1:-1], bicopula._nodes(cop.sigma_w)[1:-1]
+        for method in METHODS:
+            values = bicopula._node_values(cop, method)[1:-1, 1:-1]
+            got = bicopula._interpolate(bicopula._spline_table(cop, method),
+                                        np.repeat(z, w.size), np.tile(w, z.size),
+                                        cop.sigma_z, cop.sigma_w)
+            assert np.abs(got - values.ravel()).max() <= 1e-12, method
+
     def test_underflowed_nodes_take_exact_log_sum_exp(self):
         # centres on the diagonal: at (z, w) = (6, -6) each axis has centres
         # near, but no centre is near both, and the weight product underflows

@@ -151,3 +151,67 @@ class TestPermutationTest:
         res = permutation_test(X, Y, MmdConfig(kernel_bandwidth=2.0,
                                                permutations=60, seed=4))
         assert_allclose(res.statistic, mmd_statistic(X, Y, 2.0), rtol=1e-12)
+
+
+def two_matrix_test(X, Y, config):
+    """(statistic, p-value) with the bandwidth and the kernel each from its own distance matrix."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    n, m = len(X), len(Y)
+    Z = np.vstack([X, Y])
+    sq = (Z * Z).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
+    np.maximum(d2, 0.0, out=d2)
+    bw = median_heuristic(X, Y)
+    K = np.exp(d2 / (-2.0 * bw * bw))
+    np.fill_diagonal(K, 0.0)
+    r = K.sum(axis=1)
+
+    def stat(quad, r_dot):
+        total = float(r.sum())
+        within_y = (total - 2.0 * r_dot + quad) / (m * (m - 1))
+        return quad / (n * (n - 1)) + within_y - 2.0 * (r_dot - quad) / (n * m)
+
+    s = np.zeros(n + m)
+    s[:n] = 1.0
+    observed = stat(float(s @ K @ s), float(r @ s))
+    rng = np.random.default_rng(config.seed)
+    S = np.zeros((n + m, config.permutations))
+    for b in range(config.permutations):
+        S[rng.permutation(n + m)[:n], b] = 1.0
+    permuted = stat(np.einsum("ib,ib->b", S, K @ S), r @ S)
+    return observed, (1.0 + int((permuted >= observed).sum())) / (1.0 + config.permutations)
+
+
+def awkward_pair(rng, kind):
+    """Samples with tied rows, all-equal rows, or more pooled rows than the heuristic reads."""
+    d = int(rng.integers(1, 4))
+    if kind == "subsampled":
+        n = int(rng.integers(400, 700))
+        return rng.standard_normal((n, d)), rng.standard_normal((1001 - n, d)) + 0.2
+    n, m = int(rng.integers(2, 80)), int(rng.integers(2, 80))
+    X, Y = rng.standard_normal((n, d)), rng.standard_normal((m, d)) + rng.uniform(0.0, 1.0)
+    if kind == "all equal":
+        return np.full((n, d), 0.7), np.full((m, d), 0.7)
+    return np.round(X), np.round(Y)
+
+
+class TestOneDistanceMatrix:
+    """permutation_test takes the bandwidth from the matrix its kernel is built from."""
+
+    @pytest.mark.parametrize("kind", ["tied", "all equal", "subsampled"])
+    def test_statistic_is_mmd_at_median_heuristic(self, kind):
+        rng = np.random.default_rng(60)
+        X, Y = awkward_pair(rng, kind)
+        if kind == "all equal":
+            assert median_heuristic(X, Y) == 1.0
+        res = permutation_test(X, Y, MmdConfig(permutations=50, seed=0))
+        assert res.statistic == mmd_statistic(X, Y, median_heuristic(X, Y))
+
+    def test_p_values_equal_two_matrix_algorithm(self):
+        rng = np.random.default_rng(61)
+        kinds = ["tied"] * 40 + ["all equal"] * 8 + ["subsampled"] * 2
+        for case, kind in enumerate(kinds):
+            X, Y = awkward_pair(rng, kind)
+            cfg = MmdConfig(permutations=int(rng.integers(50, 120)), seed=case)
+            res = permutation_test(X, Y, cfg)
+            assert (res.statistic, res.p_value) == two_matrix_test(X, Y, cfg), (case, kind)
