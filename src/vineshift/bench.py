@@ -21,7 +21,7 @@ from .dataio import Dataset
 from .mmd import MmdConfig
 from .regress import default_grid, evaluate
 from .rvine import fit_vine
-from .statcore import _SQRT_2PI, row_blocks, silverman_bandwidth
+from .statcore import _SQRT_2PI, log_sum_exp, row_blocks, silverman_bandwidth
 from .synth import REGRESSION_SHIFTS, regression_task
 
 METHODS = ("NPRV", "GRV", "KDE")
@@ -83,9 +83,7 @@ class ProductKernelKDE:
         out = np.empty(rows.shape[0])
         for blk in row_blocks(rows.shape[0], n * d):
             D = (rows[blk, None, :] - self.centers[None, :, :]) / self.bandwidths
-            quad = -0.5 * np.einsum("rkd,rkd->rk", D, D)
-            mx = quad.max(axis=1)
-            out[blk] = mx + np.log(np.exp(quad - mx[:, None]).sum(axis=1))
+            out[blk] = log_sum_exp(-0.5 * np.einsum("rkd,rkd->rk", D, D))
         out += const
         return float(out[0]) if scalar else out
 

@@ -38,18 +38,18 @@ sum_k A[i, k] B[j, k], a matrix product of per-axis factors: Gaussian
 cdfs or max-shifted Gaussian weights. Queries are answered by cubic
 B-spline interpolation of the table, and interpolated h-values are
 clipped to [0, 1]; they differ from the exact sums by about 1e-5. The
-coefficients are P_z V P_w', with V the node values and P the inverse
-of an axis's collocation matrix (mirror boundaries). P depends only on
-the axis's node count, so a small memo of inverses serves every table.
-A node where the weight product of log c underflows takes the exact
-log-sum-exp, so log densities stay finite. Tables are not stored on
-the copula: a small memo holds the last few built, which keeps a
-fitted vine's memory at its centres. A table depends on the copula
-only, so a query's value does not depend on the batch it comes in. A
-copula whose bandwidth would need more than _MAX_NODES nodes on an axis
-evaluates the exact sums instead, one statcore.row_blocks block of
-queries at a time; those stay as the reference the tables are tested
-against.
+spline is scipy.ndimage's (spline_filter for the coefficients,
+map_coordinates for the queries, mirror boundaries), imported when a
+table is first built or read so that importing the package does not
+load it. A node where the weight product of log c underflows takes
+the exact log-sum-exp, so log densities stay finite. Tables are not
+stored on the copula: a small memo holds the last few built, which
+keeps a fitted vine's memory at its centres. A table depends on the
+copula only, so a query's value does not depend on the batch it comes
+in. A copula whose bandwidth would need more than _MAX_NODES nodes on
+an axis evaluates the exact sums instead, one statcore.row_blocks block
+of queries at a time; those stay as the reference the tables are
+tested against.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .statcore import (_check_open_unit, elementwise, kendall_tau, row_blocks,
-                       silverman_bandwidth)
+from .statcore import (_check_open_unit, elementwise, kendall_tau, log_sum_exp,
+                       row_blocks, silverman_bandwidth)
 
 # Evaluation-time clamp for pseudo-observations touching 0 or 1.
 EPS = 1e-10
@@ -81,9 +81,6 @@ _MEMO_TABLES = 8
 
 # Below this a weight product of log c has lost its precision to underflow.
 _UNDERFLOW = 1e-250
-
-# Offsets of the four nodes each cubic B-spline evaluation reads per axis.
-_SPAN = np.arange(4)
 
 
 def _clamp(u) -> np.ndarray:
@@ -167,33 +164,12 @@ def _node_values(cop: "KernelCopula", kind: str) -> np.ndarray:
     return out
 
 
-def _collocation(size: int) -> np.ndarray:
-    """Node values of the cubic B-splines at the nodes, mirror boundaries."""
-    m = np.diag(np.full(size, 4.0 / 6.0))
-    i = np.arange(size - 1)
-    m[i, i + 1] = m[i + 1, i] = 1.0 / 6.0
-    m[0, 1] = m[-1, -2] = 2.0 / 6.0
-    return m
-
-
-@functools.lru_cache(maxsize=_MEMO_TABLES)
-def _prefilter(size: int) -> np.ndarray:
-    """Read-only inverse of _collocation(size).
-
-    An axis's size depends only on its bandwidth, and rank-based centres
-    give every copula fitted on n rows the same bandwidth, so a handful
-    of sizes serve every table of a vine.
-    """
-    inv = np.linalg.inv(_collocation(size))
-    inv.flags.writeable = False
-    return inv
-
-
 @functools.lru_cache(maxsize=_MEMO_TABLES)
 def _spline_table(cop: "KernelCopula", kind: str) -> np.ndarray:
     """Read-only cubic B-spline coefficients interpolating kind on cop's nodes."""
-    values = _node_values(cop, kind)
-    coef = _prefilter(values.shape[0]) @ values @ _prefilter(values.shape[1]).T
+    from scipy.ndimage import spline_filter
+
+    coef = spline_filter(_node_values(cop, kind), order=3, mode="mirror")
     coef.flags.writeable = False
     return coef
 
@@ -201,30 +177,15 @@ def _spline_table(cop: "KernelCopula", kind: str) -> np.ndarray:
 def _interpolate(coef: np.ndarray, z: np.ndarray, w: np.ndarray, sigma_z: float, sigma_w: float):
     """Tensor-product cubic B-spline with coefficients coef at each pair (z, w).
 
-    Only elementwise operations and gathers touch a query, so its value
-    does not depend on the other queries. Every clamped query lies at
-    least two nodes inside the grid; fmin and fmax keep a nan's nodes in
-    range, and its value is nan.
+    Each query is interpolated on its own, so its value does not depend
+    on the other queries. Every clamped query lies at least two nodes
+    inside the grid, and a nan query gives nan.
     """
-    size = np.array(coef.shape)[:, None]
+    from scipy.ndimage import map_coordinates
+
     t = np.stack([z * (_NODES_PER_SIGMA / sigma_z), w * (_NODES_PER_SIGMA / sigma_w)])
-    t += (size - 1) // 2
-    i = np.fmax(np.fmin(np.floor(t), size - 3), 1)
-    f = t - i
-    g = 1.0 - f
-    f2 = f * f
-    f3 = f2 * f
-    # weights of nodes i-1 .. i+2 on each axis: (axis, query, node)
-    weights = np.stack([g * g * g, 4.0 - 6.0 * f2 + 3.0 * f3,
-                        1.0 + 3.0 * (f + f2 - f3), f3], axis=-1)
-    weights /= 6.0
-    first = i.astype(np.intp) - 1
-    rows = (first[0][:, None] + _SPAN) * coef.shape[1] + first[1][:, None]
-    terms = coef.ravel()[rows[:, :, None] + _SPAN]
-    terms *= weights[1][:, None, :]
-    cols = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    cols *= weights[0]
-    return cols[:, 0] + cols[:, 1] + cols[:, 2] + cols[:, 3]
+    t += ((np.array(coef.shape) - 1) // 2)[:, None]
+    return map_coordinates(coef, t, order=3, mode="mirror", cval=np.nan, prefilter=False)
 
 
 class _Copula:
@@ -322,9 +283,7 @@ class KernelCopula(_Copula):
             quad = part(z[blk], self.z_centers, sw2) + part(w[blk], self.w_centers, sz2)
             quad /= det
             quad *= -0.5
-            m = quad.max(axis=1)
-            quad -= m[:, None]
-            out[blk] = m + np.log(np.exp(quad, out=quad).sum(axis=1))
+            out[blk] = log_sum_exp(quad)
         out += 0.5 * (z * z + w * w) - np.log(self.n) - 0.5 * np.log(det)
         return out
 

@@ -36,8 +36,25 @@ EXIT_DATA = 3
 EXIT_SCHEMA = 4
 EXIT_INTERNAL = 5
 
+# Exit code of each failure, first match wins; anything else is internal.
+EXIT_CODES = (
+    ((ParseError, OSError), EXIT_PARSE),
+    ((DegenerateDataError, InsufficientDataError), EXIT_DATA),
+    (SchemaError, EXIT_SCHEMA),
+    (StructureError, EXIT_INTERNAL),
+    (ValueError, EXIT_DATA),
+)
+
 MODE_NAMES = {"supervised": "supervised", "semi": "semi_supervised",
               "unsupervised": "unsupervised"}
+
+
+def _target_model(path):
+    """The model file at path; a model without a target variable is refused."""
+    model = modelfile.load(path)
+    if model.target_index is None:
+        raise SchemaError("model has no target variable; refit with --target")
+    return model
 
 
 def _source_dataset(model) -> Dataset:
@@ -121,9 +138,7 @@ def cmd_density_bench(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    model = modelfile.load(args.model)
-    if model.target_index is None:
-        raise SchemaError("model has no target variable; refit with --target")
+    model = _target_model(args.model)
     labeled = read_csv(args.target_labeled) if args.target_labeled else None
     unlabeled = read_csv(args.target_unlabeled) if args.target_unlabeled else None
     inp = AdaptationInput(
@@ -146,9 +161,7 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = modelfile.load(args.model)
-    if model.target_index is None:
-        raise SchemaError("model has no target variable; refit with --target")
+    model = _target_model(args.model)
     ds = read_csv(args.test)
     X_feat = _feature_table(model, ds)
     grid = default_grid(model, args.grid_points)
@@ -169,9 +182,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = modelfile.load(args.model)
-    if model.target_index is None:
-        raise SchemaError("model has no target variable; refit with --target")
+    model = _target_model(args.model)
     ds = read_csv(args.test)
     X = _aligned(ds, model.variable_names)
     aligned = Dataset(list(model.variable_names), X)
@@ -280,25 +291,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DegenerateDataError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except Exception as exc:
+        for kinds, code in EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

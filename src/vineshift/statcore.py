@@ -39,6 +39,13 @@ def row_blocks(rows: int, width: int):
     return map(slice, range(0, rows, step), range(step, rows + step, step))
 
 
+def log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, max-shifted; overwrites a."""
+    m = a.max(axis=-1)
+    a -= m[..., None]
+    return m + np.log(np.exp(a, out=a).sum(axis=-1))
+
+
 def elementwise(body):
     """Decorator for a numeric function applied element by element.
 
@@ -155,9 +162,7 @@ class GaussianKernel1D:
         def log_sum(t):
             t *= t
             t *= -0.5
-            m = t.max(axis=-1)
-            t -= m[..., None]
-            return m + np.log(np.exp(t, out=t).sum(axis=-1))
+            return log_sum_exp(t)
 
         return self._row_sums(x, log_sum) - np.log(self.centers.size * self.bandwidth * _SQRT_2PI)
 
@@ -330,6 +335,7 @@ def rank_pseudo_observations(column) -> np.ndarray:
 __all__ = [
     "GaussianKernel1D",
     "kendall_tau",
+    "log_sum_exp",
     "pseudo_observations",
     "rank_pseudo_observations",
     "silverman_bandwidth",

@@ -317,6 +317,22 @@ class TestAdapt:
                    "--mode", "supervised") == 4
 
 
+@pytest.mark.parametrize("command", ["adapt", "predict", "eval"])
+def test_model_without_target_exits_4_with_one_line(workdir, tmp_path, capsys, command):
+    doc = json.loads((workdir / "model.json").read_text())
+    doc["target_index"] = None
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    test = workdir / "test.csv"
+    rest = {"adapt": ["-o", tmp_path / "a.json", "--target-labeled", test],
+            "predict": [test, "-o", tmp_path / "p.csv"],
+            "eval": [test]}[command]
+    capsys.readouterr()
+    assert run(command, model, *rest) == 4
+    assert capsys.readouterr().err == \
+        "error: model has no target variable; refit with --target\n"
+
+
 class TestMmdTest:
     def test_same_distribution_exits_0(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
