@@ -148,8 +148,7 @@ def factor_samples(vine: VineModel, data: Dataset, factor_id: str) -> np.ndarray
         return X[:, [i]]
     if factor_id.startswith("edge(") and factor_id.endswith(")"):
         label = factor_id[len("edge("):-1]
-        Z = vine._to_internal(X)
-        U = np.column_stack([m.cdf(Z[:, i]) for i, m in enumerate(vine.marginals)])
+        U = np.column_stack([m.cdf(X[:, i]) for i, m in enumerate(vine.marginals)])
         for edge, s1, s2 in walk(vine.trees, base_samples(U)):
             if edge.label() == label:
                 return np.column_stack([s1, s2])
@@ -161,8 +160,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     """Detect changed factors and rebuild the vine for the target task.
 
     Returns (adapted_model, report). The adapted model keeps the source
-    tree topology, normalization and variable order; only marginals and
-    pair copulas are re-estimated.
+    tree topology and variable order; only marginals and pair copulas
+    are re-estimated.
     """
     names = source_vine.variable_names
     d = source_vine.dim
@@ -201,10 +200,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     if np.isnan(np.delete(Xt, y, axis=1)).any():
         raise SchemaError("target rows contain non-finite feature values")
 
-    Zs = source_vine._to_internal(Xs)
-    Zt = source_vine._to_internal(Xt)
-    Zt_lab = Zt[:lab_rows]
-    n_s, n_t = Zs.shape[0], Zt.shape[0]
+    Xt_lab = Xt[:lab_rows]
+    n_s, n_t = Xs.shape[0], Xt.shape[0]
 
     decisions: list[FactorDecision] = []
     copied: list[str] = []
@@ -242,8 +239,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
             new_marginals[i] = source_vine.marginals[i]
             copied.append(fid)
             continue
-        src_col = Zs[:, i]
-        tgt_col = Zt_lab[:, i] if i == y else Zt[:, i]
+        src_col = Xs[:, i]
+        tgt_col = Xt_lab[:, i] if i == y else Xt[:, i]
         alone = refit_target_only(fid, src_col, tgt_col)
         new_marginals[i] = GaussianKernel1D.fit(
             tgt_col if alone else np.concatenate([src_col, tgt_col]))
@@ -254,28 +251,28 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     F_src = [source_vine.marginals[i] if f"marginal({i})" in changed else new_marginals[i]
              for i in range(d)]
     F_tgt = new_marginals
-    cdf_sides = {"source": (F_src, Zs), "target": (F_tgt, Zt),
-                 "target_labeled": (F_tgt, Zt_lab)}
+    cdf_sides = {"source": (F_src, Xs), "target": (F_tgt, Xt),
+                 "target_labeled": (F_tgt, Xt_lab)}
     cdf_columns: dict = {}
 
     def cdf_column(i: int, side: str) -> np.ndarray:
         """Column i of one side's rows under that side's marginal, computed once."""
         if (i, side) not in cdf_columns:
-            F, Z = cdf_sides[side]
-            cdf_columns[i, side] = F[i].cdf(Z[:, i])
+            F, X = cdf_sides[side]
+            cdf_columns[i, side] = F[i].cdf(X[:, i])
         return cdf_columns[i, side]
 
     # -- rank pseudo-observations per refit row set -------------------------
-    def _ranks(Z: np.ndarray, keep_y: bool) -> np.ndarray:
-        U = np.full_like(Z, np.nan)
+    def _ranks(X: np.ndarray, keep_y: bool) -> np.ndarray:
+        U = np.full_like(X, np.nan)
         for i in range(d):
             if i == y and not keep_y:
                 continue
-            U[:, i] = rank_pseudo_observations(Z[:, i])
+            U[:, i] = rank_pseudo_observations(X[:, i])
         return U
 
-    U_tgt_all = _ranks(Zt, keep_y=False) if n_t >= MIN_REFIT else None
-    U_tgt_lab = (_ranks(Zt_lab, keep_y=True)
+    U_tgt_all = _ranks(Xt, keep_y=False) if n_t >= MIN_REFIT else None
+    U_tgt_lab = (_ranks(Xt_lab, keep_y=True)
                  if not unsup and lab_rows >= MIN_REFIT else None)
 
     def _refit(cop, s1, s2):
@@ -287,9 +284,9 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     # Two streams of copula arguments over the pooled rows, all rows (the
     # target variable absent) and labeled rows (none in unsupervised
     # mode), both carried through the copulas chosen for the new model.
-    pool_all = base_samples(_ranks(np.vstack([Zs, Zt]), keep_y=False))
+    pool_all = base_samples(_ranks(np.vstack([Xs, Xt]), keep_y=False))
     pool_lab = (dict.fromkeys((i, frozenset()) for i in range(d)) if unsup
-                else base_samples(_ranks(np.vstack([Zs, Zt_lab]), keep_y=True)))
+                else base_samples(_ranks(np.vstack([Xs, Xt_lab]), keep_y=True)))
     chosen: dict = {}
     walks = [walk(source_vine.trees, F, lambda e: chosen[id(e)]) for F in (pool_all, pool_lab)]
     for (src_edge, a1, a2), (_, b1, b2) in zip(*walks):
@@ -322,10 +319,6 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         trees=trees_new,
         variable_names=list(names),
         target_index=y,
-        norm_mean=None if source_vine.norm_mean is None
-        else np.array(source_vine.norm_mean, dtype=float),
-        norm_std=None if source_vine.norm_std is None
-        else np.array(source_vine.norm_std, dtype=float),
         fit_metadata=meta,
     )
     return model, AdaptationReport(decisions, *_changed_counts(decisions),

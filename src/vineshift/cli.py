@@ -66,10 +66,8 @@ def _source_dataset(model) -> Dataset:
     if model.fit_metadata.get("adapted"):
         raise SchemaError("only a source model can be adapted; "
                           "this model was already adapted")
-    Z = np.column_stack([np.asarray(m.centers, dtype=float) for m in model.marginals])
-    if model.norm_mean is not None:
-        Z = model.norm_mean + model.norm_std * Z
-    return Dataset(list(model.variable_names), Z)
+    X = np.column_stack([np.asarray(m.centers, dtype=float) for m in model.marginals])
+    return Dataset(list(model.variable_names), X)
 
 
 def _feature_table(model, ds: Dataset) -> np.ndarray:
@@ -85,7 +83,7 @@ def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     model = fit_vine(ds.X, truncation=args.truncation, family=args.family,
                      variable_names=ds.names, target_index=ds.target_index(args.target),
-                     normalize=args.normalize, seed=args.seed)
+                     seed=args.seed)
     elapsed = time.perf_counter() - t0
     modelfile.save(model, args.output)
     print(f"fitted {ds.n} rows x {ds.d} variables, truncation {model.truncation}")
@@ -219,8 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--family", choices=("kernel", "gaussian"), default="kernel")
     f.add_argument("--target", default=None,
                    help="target column name (default: last column)")
-    f.add_argument("--normalize", action="store_true",
-                   help="z-score columns using training statistics")
     f.add_argument("--seed", type=int, default=None)
     f.set_defaults(func=cmd_fit)
 

@@ -64,7 +64,13 @@ def _check_pair(X: np.ndarray, Y: np.ndarray):
 
 
 def _sq_dists(Z: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of Z, clipped at 0."""
+    """Squared Euclidean distances between the rows of Z, clipped at 0.
+
+    The rows are centred first. A shift changes no distance, but
+    |a|^2 + |b|^2 - 2 a.b loses digits in proportion to |a|^2: a column
+    of spread 1e3 at 1e12 would keep nothing of its spread.
+    """
+    Z = Z - Z.mean(axis=0)
     sq = (Z * Z).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
     np.maximum(d2, 0.0, out=d2)

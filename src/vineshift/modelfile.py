@@ -6,6 +6,9 @@ every subsequent save, so save -> load -> save is byte-identical. A
 fresh model is stamped from SOURCE_DATE_EPOCH when set and 0 otherwise;
 wall-clock time would break the rule that equal seeds produce equal
 files. Kernel models store their support points, so size is O(n d).
+Every model is written in the units of its data, with a null
+"normalization"; a file that carries a normalization block loads with
+it folded into the marginals.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def model_to_doc(model: VineModel) -> dict:
         "created": int(created),
         "variable_names": [str(s) for s in model.variable_names],
         "target_index": None if model.target_index is None else int(model.target_index),
-        "normalization": None if model.norm_mean is None else {
-            "mean": _floats(model.norm_mean), "std": _floats(model.norm_std)},
+        # always null; the key keeps re-saves of earlier raw fits byte-identical
+        "normalization": None,
         "fit_metadata": meta,
         "marginals": [{"centers": _floats(m.centers), "bandwidth": float(m.bandwidth)}
                       for m in model.marginals],
@@ -122,6 +125,23 @@ def _check_edges(trees: list, d: int) -> None:
             part.update(dict.fromkeys(merged, merged))
 
 
+def _fold_normalization(marginals: list, mean: np.ndarray, std: np.ndarray) -> list:
+    """Marginals in data units from marginals of z-scores and their map.
+
+    Earlier fits could z-score their columns and store the map as a
+    normalization block {mean, std}. x = mean + std * z turns a kernel
+    with centres c and bandwidth h into one with centres mean + std * c
+    and bandwidth std * h; copulas see only cdf values and stay as they are.
+    """
+    d = len(marginals)
+    if mean.shape != (d,) or std.shape != (d,):
+        raise ParseError("normalization vectors do not match variable count")
+    if not np.all(std > 0.0):
+        raise ParseError("normalization std must be positive")
+    return [GaussianKernel1D(m + s * k.centers, s * k.bandwidth)
+            for m, s, k in zip(mean, std, marginals)]
+
+
 def model_from_doc(doc) -> VineModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError("not a vineshift model file")
@@ -144,14 +164,14 @@ def model_from_doc(doc) -> VineModel:
                                   nodes=[frozenset(v) for v in t["nodes"]],
                                   edges=edges))
         norm = doc.get("normalization")
+        if norm is not None:
+            norm = [np.asarray(norm[k], dtype=float) for k in ("mean", "std")]
         meta = dict(doc.get("fit_metadata") or {})
         meta["created"] = int(doc["created"])
         ti = doc.get("target_index")
         model = VineModel(
             marginals=marginals, trees=trees, variable_names=names,
             target_index=None if ti is None else int(ti),
-            norm_mean=None if norm is None else np.asarray(norm["mean"], dtype=float),
-            norm_std=None if norm is None else np.asarray(norm["std"], dtype=float),
             fit_metadata=meta)
     except (KeyError, TypeError, ValueError, StructureError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None
@@ -167,11 +187,8 @@ def model_from_doc(doc) -> VineModel:
     _check_edges(model.trees, d)
     if model.target_index is not None and not 0 <= model.target_index < d:
         raise ParseError(f"target_index {model.target_index} out of range")
-    if model.norm_mean is not None and (model.norm_mean.size != d
-                                        or model.norm_std.size != d):
-        raise ParseError("normalization vectors do not match variable count")
-    if model.norm_std is not None and not np.all(model.norm_std > 0.0):
-        raise ParseError("normalization std must be positive")
+    if norm is not None:
+        model.marginals = _fold_normalization(model.marginals, *norm)
     return model
 
 

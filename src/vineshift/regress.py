@@ -46,16 +46,12 @@ def _require_target(vine: VineModel) -> int:
 
 
 def default_grid(vine: VineModel, n_points: int = 257) -> YGrid:
-    """Grid over the target marginal's expanded quantile range (raw units)."""
+    """Grid over the target marginal's expanded quantile range."""
     y = _require_target(vine)
     marg = vine.marginals[y]
     lo, hi = marg.quantile([0.001, 0.999])
     pad = 0.05 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    if vine.norm_mean is not None:
-        lo = vine.norm_mean[y] + vine.norm_std[y] * lo
-        hi = vine.norm_mean[y] + vine.norm_std[y] * hi
-    return YGrid(np.linspace(lo, hi, n_points))
+    return YGrid(np.linspace(lo - pad, hi + pad, n_points))
 
 
 def feature_indices(vine: VineModel) -> list:
@@ -76,20 +72,12 @@ def conditional_density_batch(vine: VineModel, X_feat, grid: YGrid) -> np.ndarra
     if Xf.shape[1] != len(feats):
         raise ValueError(f"expected {len(feats)} feature columns, got {Xf.shape[1]}")
 
-    # Internal (normalized) coordinates.
-    gy = grid.points
-    if vine.norm_mean is not None:
-        gy = (gy - vine.norm_mean[y]) / vine.norm_std[y]
-    rows = np.zeros((Xf.shape[0], vine.dim))
-    rows[:, feats] = Xf
-    rows_int = vine._to_internal(rows)
-
     # Features as (m, 1) columns, the grid as a (1, g) row: an edge whose
     # arguments involve the target runs on the (m, g) cross product, and
     # feature-only h-functions run on m rows.
-    F = {(i, frozenset()): vine.marginals[i].cdf(rows_int[:, i])[:, None] for i in feats}
-    F[y, frozenset()] = vine.marginals[y].cdf(gy)[None, :]
-    logd = vine.marginals[y].logpdf(gy)[None, :]
+    F = {(i, frozenset()): vine.marginals[i].cdf(x)[:, None] for i, x in zip(feats, Xf.T)}
+    F[y, frozenset()] = vine.marginals[y].cdf(grid.points)[None, :]
+    logd = vine.marginals[y].logpdf(grid.points)[None, :]
     for edge, s1, s2 in walk(vine.trees, F):
         if y in edge.constraint:
             logd = logd + edge.copula.log_density(s1, s2)

@@ -257,8 +257,6 @@ class VineModel:
     trees: list
     variable_names: list
     target_index: int | None = None
-    norm_mean: np.ndarray | None = None
-    norm_std: np.ndarray | None = None
     fit_metadata: dict = field(default_factory=dict)
 
     @property
@@ -269,20 +267,6 @@ class VineModel:
     def truncation(self) -> int:
         return len(self.trees)
 
-    # -- normalization plumbing ------------------------------------------
-
-    def _to_internal(self, X: np.ndarray) -> np.ndarray:
-        if self.norm_mean is None:
-            return X
-        return (X - self.norm_mean) / self.norm_std
-
-    def _log_jacobian(self) -> float:
-        if self.norm_mean is None:
-            return 0.0
-        return -float(np.log(self.norm_std).sum())
-
-    # -- evaluation -------------------------------------------------------
-
     def log_density(self, X) -> np.ndarray | float:
         """Row-wise log density; finite for all finite inputs."""
         arr = np.asarray(X, dtype=float)
@@ -290,15 +274,13 @@ class VineModel:
         rows = np.atleast_2d(arr)
         if rows.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} columns, got {rows.shape[1]}")
-        Z = self._to_internal(rows)
-        logp = np.zeros(Z.shape[0])
+        logp = np.zeros(rows.shape[0])
         F = {}
         for i, marg in enumerate(self.marginals):
-            logp += marg.logpdf(Z[:, i])
-            F[i, frozenset()] = marg.cdf(Z[:, i])
+            logp += marg.logpdf(rows[:, i])
+            F[i, frozenset()] = marg.cdf(rows[:, i])
         for edge, s1, s2 in walk(self.trees, F):
             logp += edge.copula.log_density(s1, s2)
-        logp += self._log_jacobian()
         return float(logp[0]) if scalar else logp
 
     def conditional_cdf(self, var: int, value: float, conditioning: dict | None = None) -> float:
@@ -312,10 +294,8 @@ class VineModel:
         cond = dict(conditioning or {})
         if var in cond:
             raise ValueError("query variable cannot appear in the conditioning set")
-        base = {}
-        for i, x in {var: value, **cond}.items():
-            z = x if self.norm_mean is None else (x - self.norm_mean[i]) / self.norm_std[i]
-            base[int(i)] = float(self.marginals[i].cdf(z))
+        base = {int(i): float(self.marginals[i].cdf(x))
+                for i, x in {var: value, **cond}.items()}
         memo: dict = {}
 
         def rec(j: int, S: frozenset) -> float:
@@ -350,11 +330,14 @@ class VineModel:
 
 def fit_vine(data, truncation: int = 1, family: str = "kernel",
              variable_names=None, target_index: int | None = None,
-             normalize: bool = False, seed: int | None = None) -> VineModel:
+             seed: int | None = None) -> VineModel:
     """Fit marginals, pseudo-observations and trees T_1..truncation.
 
     Fitting is deterministic; seed is only recorded in the metadata so
-    experiment harnesses can stamp their provenance.
+    experiment harnesses can stamp their provenance. The fit needs no
+    rescaled columns: copulas see ranks only, and the Silverman bandwidth
+    of each marginal scales with its column, so a fit to a * X + b is the
+    fit to X with every marginal mapped the same way.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
@@ -372,12 +355,6 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
     for i in range(d):
         if np.all(X[:, i] == X[0, i]):
             raise DegenerateDataError(f"column '{names[i]}' has zero variance")
-
-    norm_mean = norm_std = None
-    if normalize:
-        norm_mean = X.mean(axis=0)
-        norm_std = X.std(axis=0)
-        X = (X - norm_mean) / norm_std
 
     marginals = [GaussianKernel1D.fit(X[:, i]) for i in range(d)]
     U = np.column_stack([rank_pseudo_observations(X[:, i]) for i in range(d)])
@@ -403,11 +380,7 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
     for edge, s1, s2 in walk(grow(), F, reads=lambda key: len(key[1]) < levels):
         edge.copula = _fit_edge_copula(family, s1, s2)
 
-    for t in trees:
-        if len(t.edges) != d - t.level:
-            raise StructureError(f"tree level {t.level} has {len(t.edges)} edges, expected {d - t.level}")
-
     return VineModel(marginals=marginals, trees=trees, variable_names=names,
-                     target_index=target_index, norm_mean=norm_mean, norm_std=norm_std,
+                     target_index=target_index,
                      fit_metadata={"n": int(n), "seed": seed, "truncation": int(truncation),
                                    "family": family})

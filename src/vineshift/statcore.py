@@ -172,11 +172,12 @@ class GaussianKernel1D:
 
     @elementwise
     def quantile(self, p):
-        """Inverse cdf by vectorised bisection, accurate to ~1e-12 in x.
+        """Inverse cdf by vectorised bisection, accurate to ~1e-12 bandwidths in x.
 
         Each point stops once its bracket is narrower than
-        1e-12 + 4 eps |x|, so a point's result does not depend on the
-        other points it is solved with.
+        1e-12 h + 4 eps |x| (h the bandwidth): a point's result does not
+        depend on the other points it is solved with, and the stop scales
+        with the data as the quantile does.
         """
         _check_open_unit("quantile argument", p)
         step = 10.0 * self.bandwidth
@@ -186,6 +187,7 @@ class GaussianKernel1D:
             lo[low] -= step
         while (high := self.cdf(hi) < p).any():
             hi[high] += step
+        tol = 1e-12 * self.bandwidth
         active = np.arange(p.size)
         while active.size:
             mid = 0.5 * (lo[active] + hi[active])
@@ -193,7 +195,7 @@ class GaussianKernel1D:
             lo[active[left]] = mid[left]
             hi[active[~left]] = mid[~left]
             width = hi[active] - lo[active]
-            active = active[width > 1e-12 + 4.0 * np.finfo(float).eps * np.abs(mid)]
+            active = active[width > tol + 4.0 * np.finfo(float).eps * np.abs(mid)]
         return 0.5 * (lo + hi)
 
 

@@ -77,13 +77,17 @@ class TestFit:
         assert run("fit", train, "-o", m2, "--seed", 11) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
-    def test_target_and_normalize_flags(self, workdir, tmp_path):
+    def test_target_and_normalize_flags(self, workdir, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert run("fit", workdir / "train.csv", "-o", out,
-                   "--target", "x1", "--normalize", "--seed", 0) == 0
+                   "--target", "x1", "--seed", 0) == 0
         model = modelfile.load(out)
         assert model.variable_names[model.target_index] == "x1"
-        assert model.norm_mean is not None
+        # fits are affine-equivariant, so there is no rescaling option
+        with pytest.raises(SystemExit) as exc:
+            run("fit", workdir / "train.csv", "-o", out, "--normalize")
+        assert exc.value.code == 2
+        assert "--normalize" in capsys.readouterr().err
 
     def test_default_target_is_last_column(self, workdir):
         model = modelfile.load(workdir / "model.json")
@@ -234,15 +238,18 @@ class TestPredictEval:
     @pytest.mark.parametrize("corrupt", ["zero_std", "negative_std", "nonzero_gamma"])
     def test_refused_model_values_exit_2_with_one_line(self, workdir, tmp_path, capsys,
                                                        corrupt):
-        # a zero std divides by zero when scoring (TLL printed as nan);
-        # kernel copulas carry no off-diagonal bandwidth
+        # an earlier file's normalization block is folded into the
+        # marginals, which a zero std would collapse; kernel copulas carry
+        # no off-diagonal bandwidth
         model_path = tmp_path / "m.json"
-        assert run("fit", workdir / "train.csv", "-o", model_path, "--normalize") == 0
+        assert run("fit", workdir / "train.csv", "-o", model_path) == 0
         doc = json.loads(model_path.read_text())
         if corrupt == "nonzero_gamma":
             doc["trees"][0]["edges"][0]["copula"]["gamma"] = 0.05
         else:
-            doc["normalization"]["std"][0] = 0.0 if corrupt == "zero_std" else -1.0
+            d = len(doc["variable_names"])
+            std = [0.0 if corrupt == "zero_std" else -1.0] + [1.0] * (d - 1)
+            doc["normalization"] = {"mean": [0.0] * d, "std": std}
         model_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run("eval", model_path, workdir / "test.csv", "--grid-points", 65) == 2
@@ -387,24 +394,34 @@ class TestDensityBench:
 class TestSourceRows:
     """adapt recovers the source rows from the marginal kernel centres."""
 
-    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("legacy", [False, True])
     @pytest.mark.parametrize("seed", range(5))
-    def test_recovered_rows_equal_training_rows(self, tmp_path, seed, normalize):
+    def test_recovered_rows_equal_training_rows(self, tmp_path, seed, legacy):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((60, 4)) * [0.01, 1.0, 37.0, 1000.0] + [5.0, -2.0, 0.0, 1e4]
         write_csv(tmp_path / "train.csv", Dataset(["a", "b", "c", "y"], X))
-        flags = ["--normalize"] if normalize else []
-        assert run("fit", tmp_path / "train.csv", "-o", tmp_path / "m.json", *flags) == 0
-        model = modelfile.load(tmp_path / "m.json")
-        rows = cli._source_dataset(model).X
-        if normalize:
-            # mean + std * ((x - mean) / std) rounds three times: to first
-            # order |error| <= eps (1.5 |x - mean| + 0.5 |x|), many ulps of
-            # x itself when x is much closer to 0 than to its column mean
-            bound = 2.0 * np.finfo(float).eps * (np.abs(X) + np.abs(X - model.norm_mean))
-            assert np.all(np.abs(rows - X) <= bound)
-        else:
-            assert np.array_equal(rows, X)
+        path = tmp_path / "m.json"
+        assert run("fit", tmp_path / "train.csv", "-o", path) == 0
+        if not legacy:
+            assert np.array_equal(cli._source_dataset(modelfile.load(path)).X, X)
+            return
+        # an earlier file stored marginals of z = (x - mean) / std and the
+        # map; its rows come back as mean + std * z, as they always did
+        doc = json.loads(path.read_text())
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        Z = (X - mean) / std
+        for i, marg in enumerate(doc["marginals"]):
+            marg["centers"] = Z[:, i].tolist()
+            marg["bandwidth"] /= std[i]
+        doc["normalization"] = {"mean": mean.tolist(), "std": std.tolist()}
+        path.write_text(json.dumps(doc))
+        rows = cli._source_dataset(modelfile.load(path)).X
+        assert np.array_equal(rows, mean + std * Z)
+        # mean + std * ((x - mean) / std) rounds three times: to first
+        # order |error| <= eps (1.5 |x - mean| + 0.5 |x|), many ulps of
+        # x itself when x is much closer to 0 than to its column mean
+        bound = 2.0 * np.finfo(float).eps * (np.abs(X) + np.abs(X - mean))
+        assert np.all(np.abs(rows - X) <= bound)
 
 
 # Cells, lines and cuts that a corrupted CSV may hold.

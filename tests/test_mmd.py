@@ -96,6 +96,19 @@ class TestPermutationTest:
         r3 = permutation_test(X, Y, MmdConfig(permutations=100, seed=8))
         assert r3.statistic == r1.statistic  # statistic ignores the seed
 
+    @pytest.mark.parametrize("offset", [1e9, 1e12])
+    def test_shift_far_from_zero_is_detected(self, offset):
+        # a 0.4 sd shift of a column of spread 1e3; moving both samples
+        # together changes no distance, so neither the verdict nor the p-value
+        rng = np.random.default_rng(80)
+        X = 1e3 * rng.standard_normal((150, 1))
+        Y = 1e3 * (rng.standard_normal((150, 1)) + 0.4)
+        cfg = MmdConfig(seed=0)
+        near, far = permutation_test(X, Y, cfg), permutation_test(X + offset, Y + offset, cfg)
+        assert near.rejected
+        assert far.p_value == near.p_value
+        assert_allclose(far.statistic, near.statistic, rtol=1e-6)
+
     def test_p_value_bounds(self):
         rng = np.random.default_rng(49)
         X = rng.standard_normal((40, 2))
@@ -154,10 +167,14 @@ class TestPermutationTest:
 
 
 def two_matrix_test(X, Y, config):
-    """(statistic, p-value) with the bandwidth and the kernel each from its own distance matrix."""
+    """(statistic, p-value) with the bandwidth and the kernel each from its own distance matrix.
+
+    Distances are formed from the centred pooled rows.
+    """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     n, m = len(X), len(Y)
     Z = np.vstack([X, Y])
+    Z = Z - Z.mean(axis=0)
     sq = (Z * Z).sum(axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
     np.maximum(d2, 0.0, out=d2)

@@ -13,36 +13,39 @@ from vineshift.synth import gaussian_copula_chain
 
 # A normalized kernel fit (24 rows, 3 variables, truncation 2) saved by the
 # version-1 writer while kernel copulas still had an off-diagonal bandwidth
-# parameter; each copula carries "gamma": 0.0.
+# parameter and fits could z-score their columns: each copula carries
+# "gamma": 0.0, and the marginals are of z-scores, with the map stored as a
+# "normalization" block.
 EARLIER_FILE = Path(__file__).resolve().parent / "data" / "kernel_model_v1.json"
 
 
-def sample_model(seed=70, normalize=False, family="kernel", truncation=3):
+def sample_model(seed=70, family="kernel", truncation=3, scale=1.0, shift=0.0):
     rng = np.random.default_rng(seed)
     ds = gaussian_copula_chain(120, 4, 0.6, rng)
-    return fit_vine(ds.X, truncation=truncation, family=family,
-                    variable_names=ds.names, target_index=3,
-                    normalize=normalize, seed=seed)
+    return fit_vine(ds.X * scale + shift, truncation=truncation, family=family,
+                    variable_names=ds.names, target_index=3, seed=seed)
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("rescaled", [False, True])
     @pytest.mark.parametrize("family", ["kernel", "gaussian"])
-    def test_density_preserved_exactly(self, tmp_path, normalize, family):
-        model = sample_model(normalize=normalize, family=family)
+    def test_density_preserved_exactly(self, tmp_path, rescaled, family):
+        # rescaled: columns of spread 37 about 1e4, so centres are far from 0
+        scale, shift = (37.0, 1e4) if rescaled else (1.0, 0.0)
+        model = sample_model(family=family, scale=scale, shift=shift)
         path = tmp_path / "m.json"
         save(model, path)
         back = load(path)
         rng = np.random.default_rng(71)
-        pts = rng.standard_normal((10, 4))
+        pts = rng.standard_normal((10, 4)) * scale + shift
         assert_allclose(back.log_density(pts), model.log_density(pts),
                         rtol=0, atol=1e-12)
-        assert_allclose(back.conditional_cdf(3, 0.2, {1: 0.1, 2: -0.5}),
-                        model.conditional_cdf(3, 0.2, {1: 0.1, 2: -0.5}),
+        x, cond = 0.2 * scale + shift, {1: 0.1 * scale + shift, 2: -0.5 * scale + shift}
+        assert_allclose(back.conditional_cdf(3, x, cond), model.conditional_cdf(3, x, cond),
                         rtol=0, atol=1e-12)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
-        model = sample_model(normalize=True)
+        model = sample_model()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save(model, p1)
@@ -50,10 +53,27 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_earlier_file_loads_and_resaves_byte_identically(self, tmp_path):
-        assert EARLIER_FILE.read_text().count('"gamma": 0.0') == 3
-        path = tmp_path / "m.json"
-        save(load(EARLIER_FILE), path)
-        assert path.read_bytes() == EARLIER_FILE.read_bytes()
+        # the loaded model is the stored model of the z-scores
+        # z = (x - mean) / std, mapped back to x: log p(x) = log p_z(z) - sum(log std)
+        text = EARLIER_FILE.read_text()
+        assert text.count('"gamma": 0.0') == 3
+        doc = json.loads(text)
+        mean, std = (np.array(doc["normalization"][k]) for k in ("mean", "std"))
+        oracle = model_from_doc({**doc, "normalization": None})
+        model = load(EARLIER_FILE)
+        # z-scores as spread as the stored ones; further out, h-values round
+        # to within a few ulps of 1, where log c moves by 1e-8 per ulp
+        pts = mean + std * np.random.default_rng(74).standard_normal((200, 3))
+        assert_allclose(model.log_density(pts),
+                        oracle.log_density((pts - mean) / std) - np.log(std).sum(),
+                        rtol=1e-10)
+        # the first save writes the folded marginals; from then on
+        # load -> save is a fixed point
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save(model, first)
+        save(load(first), second)
+        assert json.loads(first.read_text())["normalization"] is None
+        assert second.read_bytes() == first.read_bytes()
 
     def test_same_fit_same_bytes(self, tmp_path):
         p1 = tmp_path / "a.json"
@@ -217,9 +237,19 @@ class TestValidation:
 
     @pytest.mark.parametrize("std", [0.0, -1.0])
     def test_non_positive_normalization_std_rejected(self, std):
-        doc = model_to_doc(sample_model(normalize=True))
-        doc["normalization"]["std"][0] = std
+        doc = self.make_doc()
+        doc["normalization"] = {"mean": [0.0] * 4, "std": [std, 1.0, 1.0, 1.0]}
         with pytest.raises(ParseError, match="std must be positive"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("block", [{"mean": [0.0] * 3, "std": [1.0] * 3},
+                                       {"mean": [0.0] * 4, "std": [1.0] * 5},
+                                       {"mean": [[0.0] * 4], "std": [[1.0] * 4]},
+                                       {"mean": [0.0] * 4}, [0.0, 1.0]])
+    def test_malformed_normalization_rejected(self, block):
+        doc = self.make_doc()
+        doc["normalization"] = block
+        with pytest.raises(ParseError):
             model_from_doc(doc)
 
 

@@ -8,11 +8,12 @@ from scipy import integrate
 from vineshift.errors import (DegenerateDataError, InsufficientDataError,
                               StructureError)
 from vineshift.bicopula import IndependenceCopula
+from vineshift.regress import predict_means
 from vineshift.rvine import (VineEdge, VineTree, base_samples, build_first_tree,
                              build_next_tree, fit_vine,
                              prim_max_spanning_tree, walk)
 from vineshift.statcore import rank_pseudo_observations
-from vineshift.synth import gaussian_copula_chain
+from vineshift.synth import gaussian_copula_chain, regression_task
 
 
 def spanning_tree_weight(weights, edges):
@@ -218,18 +219,25 @@ class TestFitVine:
             -8, 8, -8, 8, epsabs=1e-6)
         assert_allclose(total, 1.0, atol=2e-3)
 
-    def test_normalize_shifts_are_transparent(self):
-        # z-scoring plus jacobian must give the same density as raw fit
-        # up to kernel-bandwidth effects; on pre-standardized data the
-        # two paths agree exactly
+    @pytest.mark.parametrize("a, b, tol", [(1.0, 0.0, 0.0), (0.37, -42.0, 1e-9),
+                                           (1e-15, 0.0, 1e-9), (1e3, 1e12, 1e-6)])
+    def test_affine_maps_are_transparent(self, a, b, tol):
+        # copulas see ranks only and each marginal's Silverman bandwidth
+        # scales with its column, so the fit to a X + b is the fit to X
+        # with every variable mapped the same way; at 1e12, rounding the
+        # inputs alone costs 2e-7 of their spread
         rng = np.random.default_rng(30)
-        X = rng.standard_normal((100, 3))
-        X = (X - X.mean(axis=0)) / X.std(axis=0)
-        raw = fit_vine(X, truncation=2)
-        normed = fit_vine(X, truncation=2, normalize=True)
-        pts = rng.standard_normal((5, 3))
-        assert_allclose(raw.log_density(pts), normed.log_density(pts),
-                        rtol=1e-8)
+        X, Q = regression_task(200, rng).X, regression_task(20, rng).X
+        d = X.shape[1]
+        base = fit_vine(X, truncation=2, target_index=d - 1)
+        moved = fit_vine(a * X + b, truncation=2, target_index=d - 1)
+        assert ([[e.label() for e in t.edges] for t in moved.trees]
+                == [[e.label() for e in t.edges] for t in base.trees])
+        assert_allclose(moved.log_density(a * Q + b), base.log_density(Q) - d * np.log(a),
+                        rtol=tol, atol=0)
+        assert_allclose(predict_means(moved, a * Q[:, :-1] + b),
+                        a * predict_means(base, Q[:, :-1]) + b,
+                        rtol=0, atol=tol * a * X[:, -1].std())
 
     def test_gaussian_family(self):
         rng = np.random.default_rng(31)
@@ -378,17 +386,17 @@ class TestPropagateArguments:
 
 
 class TestWalk:
-    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("rescaled", [False, True])
     @pytest.mark.parametrize("family", ["kernel", "gaussian"])
-    def test_arguments_match_conditional_cdf(self, family, normalize):
+    def test_arguments_match_conditional_cdf(self, family, rescaled):
         # each argument is F(x_v | x_D), which conditional_cdf evaluates
         # by its own recursion
         rng = np.random.default_rng(43)
+        scale, shift = (37.0, 1e4) if rescaled else (1.0, 0.0)
         ds = gaussian_copula_chain(150, 5, rho=0.6, rng=rng)
-        model = fit_vine(ds.X, truncation=3, family=family, normalize=normalize)
-        X = gaussian_copula_chain(4, 5, rho=0.6, rng=rng).X
-        Z = model._to_internal(X)
-        F = {(i, frozenset()): m.cdf(Z[:, i]) for i, m in enumerate(model.marginals)}
+        model = fit_vine(ds.X * scale + shift, truncation=3, family=family)
+        X = gaussian_copula_chain(4, 5, rho=0.6, rng=rng).X * scale + shift
+        F = {(i, frozenset()): m.cdf(X[:, i]) for i, m in enumerate(model.marginals)}
         seen = 0
         for edge, s1, s2 in walk(model.trees, F):
             D = edge.conditioning

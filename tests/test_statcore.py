@@ -132,6 +132,14 @@ class TestGaussianKernel1D:
         assert_allclose(m.cdf(q), p, rtol=1e-10, atol=0.0)
         assert isinstance(m.quantile(0.5), float)
 
+    @pytest.mark.parametrize("scale", [1e-18, 1e-13, 1e6])
+    def test_quantile_scales_with_the_data(self, scale):
+        # the bisection stops at a width in bandwidths, not in data units
+        c = np.random.default_rng(13).standard_normal(200) * 3.0 - 2.0
+        p = np.array([1e-6, 0.001, 0.5, 0.999])
+        assert_allclose(GaussianKernel1D.fit(scale * c).quantile(p),
+                        scale * GaussianKernel1D.fit(c).quantile(p), rtol=1e-10)
+
     def test_quantile_rejects_boundary(self):
         m = GaussianKernel1D(centers=[0.0, 1.0], bandwidth=1.0)
         for p in (0.0, 1.0, [0.5, 1.0]):
