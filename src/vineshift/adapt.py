@@ -73,25 +73,22 @@ class FactorDecision:
     fallback: bool = False
 
 
-def _changed_counts(decisions) -> tuple[int, int]:
-    """(changed marginals, changed copulas) in a decision list."""
-    changed = [d.factor_id for d in decisions if d.changed]
-    return (sum(1 for f in changed if f.startswith("marginal")),
-            sum(1 for f in changed if f.startswith("edge")))
-
-
 @dataclass(frozen=True)
 class AdaptationReport:
     decisions: list
-    n_changed_marginals: int
-    n_changed_copulas: int
     copied_factors: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if (_changed_counts(self.decisions)
-                != (self.n_changed_marginals, self.n_changed_copulas)):
-            raise ValueError("changed-factor counts do not match the decision list")
+    def _n_changed(self, kind: str) -> int:
+        return sum(1 for d in self.decisions if d.changed and d.factor_id.startswith(kind))
+
+    @property
+    def n_changed_marginals(self) -> int:
+        return self._n_changed("marginal")
+
+    @property
+    def n_changed_copulas(self) -> int:
+        return self._n_changed("edge")
 
     def summary(self) -> str:
         lines = [f"changed marginals: {self.n_changed_marginals}",
@@ -321,8 +318,7 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         target_index=y,
         fit_metadata=meta,
     )
-    return model, AdaptationReport(decisions, *_changed_counts(decisions),
-                                   copied_factors=copied, warnings=warnings_)
+    return model, AdaptationReport(decisions, copied_factors=copied, warnings=warnings_)
 
 
 __all__ = [

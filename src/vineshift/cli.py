@@ -27,7 +27,7 @@ from .errors import (DegenerateDataError, InsufficientDataError, ParseError,
 from .mmd import MmdConfig, permutation_test
 from .regress import (conditional_density_batch, default_grid, evaluate,
                       feature_indices, predict_means)
-from .rvine import fit_vine
+from .rvine import COPULA_FAMILIES, fit_vine
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("input", help="training CSV (header row required)")
     f.add_argument("-o", "--output", required=True, help="model file to write")
     f.add_argument("--truncation", type=int, default=1)
-    f.add_argument("--family", choices=("kernel", "gaussian"), default="kernel")
+    f.add_argument("--family", choices=tuple(COPULA_FAMILIES), default="kernel")
     f.add_argument("--target", default=None,
                    help="target column name (default: last column)")
     f.add_argument("--seed", type=int, default=None)

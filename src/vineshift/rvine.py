@@ -21,14 +21,17 @@ the conditioning values (simplified-vine assumption). Edges beyond the
 truncation level behave as independence copulas and are not stored.
 
 One generator, walk, holds that recursion for fitting, scoring,
-prediction and adaptation. It keeps the sample of F(v | S) in a dict
-under the key (v, S): edge (j, k | D) reads (j, D) and (k, D), so every
-argument is a lookup, not a search through the parent tree. The walker
-yields the edge with its arguments first and computes its h-values
-only when resumed, with the copula the caller then names, so a caller
-can fit or replace the copula in between; it writes (j, D | {k}) and
-(k, D | {j}), and only the keys a later tree reads. Once a tree is done
-nothing reads its arguments again, and they are dropped.
+prediction, adaptation and conditional cdfs. It keeps the sample of
+F(v | S) in a dict under the key (v, S): edge (j, k | D) reads (j, D)
+and (k, D), so every argument is a lookup, not a search through the
+parent tree. Tree building reads the same dict: the candidate edge
+joining nodes N_p and N_q weighs (a, D) against (b, D), where
+{a, b} = N_p ^ N_q and D = N_p & N_q. The walker yields the edge with
+its arguments first and computes its h-values only when resumed, with
+the copula the caller then names, so a caller can fit or replace the
+copula in between; it writes (j, D | {k}) and (k, D | {j}), and only
+the keys a later tree reads. Once a tree is done nothing reads its
+arguments again, and they are dropped.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bicopula import GaussianCopula, IndependenceCopula, KernelCopula
+from .bicopula import GaussianCopula, KernelCopula
 from .errors import DegenerateDataError, InsufficientDataError, StructureError
 from .statcore import GaussianKernel1D, kendall_tau, rank_pseudo_observations
 
@@ -124,6 +127,38 @@ class VineTree:
                 f"{len(self.nodes) - 1} edges, got {len(self.edges)}")
 
 
+def _build_tree(level: int, nodes: list, F: dict, adjacent) -> VineTree:
+    """Maximum spanning tree over nodes, weighted by |kendall_tau|.
+
+    nodes are constraint sets; adjacent(p, q) says whether nodes p < q
+    may be joined. The edge joining them conditions on D = N_p & N_q
+    and its weight is the tau of walk's samples F[a, D] and F[b, D] of
+    the pair {a, b} = N_p ^ N_q. Ties go to the smallest sorted pair.
+    """
+    m = len(nodes)
+    W = np.zeros((m, m))
+    valid = np.zeros((m, m), dtype=bool)
+    pair = {}
+    for p in range(m):
+        for q in range(p + 1, m):
+            if not adjacent(p, q):
+                continue
+            if len(nodes[p] ^ nodes[q]) != 2:
+                raise StructureError("node-sharing edges must differ in exactly 2 variables")
+            (a,), (b,) = nodes[p] - nodes[q], nodes[q] - nodes[p]
+            D = nodes[p] & nodes[q]
+            if F.get((a, D)) is None or F.get((b, D)) is None:
+                raise StructureError("missing conditional sample for candidate edge")
+            W[p, q] = W[q, p] = abs(kendall_tau(F[a, D], F[b, D]))
+            valid[p, q] = valid[q, p] = True
+            pair[p, q] = pair[q, p] = tuple(sorted((a, b)))
+    pairs = prim_max_spanning_tree(W, valid=valid, edge_key=lambda i, j: pair[i, j])
+    edges = [VineEdge(conditioned=pair[p, q], conditioning=nodes[p] & nodes[q],
+                      node_pair=(p, q), weight=float(W[p, q]))
+             for p, q in pairs]
+    return VineTree(level=level, nodes=list(nodes), edges=edges)
+
+
 def build_first_tree(pseudo: np.ndarray) -> VineTree:
     """Maximum spanning tree over variables, weighted by |kendall_tau|."""
     U = np.asarray(pseudo, dtype=float)
@@ -132,63 +167,22 @@ def build_first_tree(pseudo: np.ndarray) -> VineTree:
         raise ValueError("need at least 2 variables")
     if n < 2:
         raise InsufficientDataError("need at least 2 rows")
-    W = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            W[i, j] = W[j, i] = abs(kendall_tau(U[:, i], U[:, j]))
-    pairs = prim_max_spanning_tree(W)
-    edges = [VineEdge(conditioned=(i, j), conditioning=frozenset(),
-                      node_pair=(i, j), weight=float(W[i, j]))
-             for i, j in pairs]
-    return VineTree(level=1, nodes=[frozenset([i]) for i in range(d)], edges=edges)
+    return _build_tree(1, [frozenset([i]) for i in range(d)],
+                       {(i, frozenset()): col for i, col in enumerate(U.T)},
+                       lambda p, q: True)
 
 
-def build_next_tree(prev: VineTree, cond_samples: list[dict]) -> VineTree:
-    """Build tree level prev.level+1 from conditional pseudo-observations.
+def build_next_tree(prev: VineTree, F: dict) -> VineTree:
+    """Build tree level prev.level+1 from walk's samples F after prev.
 
-    cond_samples[i][v] holds the sample of P(x_v | constraint(e_i) - v)
-    for each conditioned variable v of prev.edges[i]. Candidate edges
-    join prev-edges sharing a node; weights are |kendall_tau| of the two
-    conditional samples identified by the constraint-set algebra.
+    Candidate edges join prev-edges sharing a node (proximity
+    condition); F must hold the samples each candidate reads.
     """
-    m = len(prev.edges)
-    if m < 2:
+    if len(prev.edges) < 2:
         raise ValueError("previous tree needs at least 2 edges")
-    W = np.zeros((m, m))
-    valid = np.zeros((m, m), dtype=bool)
-    meta = {}
-    for p in range(m):
-        for q in range(p + 1, m):
-            e1, e2 = prev.edges[p], prev.edges[q]
-            if not set(e1.node_pair) & set(e2.node_pair):
-                continue
-            sym = e1.constraint ^ e2.constraint
-            if len(sym) != 2:
-                raise StructureError("node-sharing edges must differ in exactly 2 variables")
-            a = next(iter(e1.constraint - e2.constraint))
-            b = next(iter(e2.constraint - e1.constraint))
-            if a not in cond_samples[p] or b not in cond_samples[q]:
-                raise StructureError("missing conditional sample for candidate edge")
-            W[p, q] = W[q, p] = abs(kendall_tau(cond_samples[p][a], cond_samples[q][b]))
-            valid[p, q] = valid[q, p] = True
-            meta[(p, q)] = (a, b)
-
-    def key(i, j):
-        p, q = min(i, j), max(i, j)
-        a, b = meta[(p, q)]
-        return tuple(sorted((a, b)))
-
-    pairs = prim_max_spanning_tree(W, valid=valid, edge_key=key)
-    edges = []
-    for p, q in pairs:
-        e1, e2 = prev.edges[p], prev.edges[q]
-        conditioned = tuple(sorted(e1.constraint ^ e2.constraint))
-        conditioning = e1.constraint & e2.constraint
-        edges.append(VineEdge(conditioned=conditioned, conditioning=conditioning,
-                              node_pair=(p, q), weight=float(W[p, q])))
-    return VineTree(level=prev.level + 1,
-                    nodes=[e.constraint for e in prev.edges],
-                    edges=edges)
+    return _build_tree(prev.level + 1, [e.constraint for e in prev.edges], F,
+                       lambda p, q: bool(set(prev.edges[p].node_pair)
+                                         & set(prev.edges[q].node_pair)))
 
 
 def walk(trees, F: dict, copula_of=None, reads=None):
@@ -241,12 +235,7 @@ def base_samples(U: np.ndarray) -> dict:
             for i, col in enumerate(U.T)}
 
 
-def _fit_edge_copula(family: str, s1: np.ndarray, s2: np.ndarray):
-    if family == "kernel":
-        return KernelCopula.fit(s1, s2)
-    if family == "gaussian":
-        return GaussianCopula.fit(s1, s2)
-    raise ValueError(f"unknown copula family '{family}'")
+COPULA_FAMILIES = {"kernel": KernelCopula, "gaussian": GaussianCopula}
 
 
 @dataclass
@@ -286,46 +275,26 @@ class VineModel:
     def conditional_cdf(self, var: int, value: float, conditioning: dict | None = None) -> float:
         """P(X_var <= value | X_s = x_s for every s in conditioning).
 
-        Evaluates the recursion P(j|S) = h of the edge (j,k|S-k) applied
-        to P(j|S-k) and P(k|S-k), bottoming out at the marginal kernel
-        cdf. The conditioning set must be derivable from the stored
-        trees, otherwise a StructureError is raised.
+        walk's F(var | conditioning) from the marginal cdfs of the given
+        variables, all others absent. A conditioning set the stored trees
+        cannot derive raises a StructureError.
         """
-        cond = dict(conditioning or {})
-        if var in cond:
+        var, given = int(var), {int(i): x for i, x in (conditioning or {}).items()}
+        if var in given:
             raise ValueError("query variable cannot appear in the conditioning set")
-        base = {int(i): float(self.marginals[i].cdf(x))
-                for i, x in {var: value, **cond}.items()}
-        memo: dict = {}
-
-        def rec(j: int, S: frozenset) -> float:
-            if not S:
-                return base[j]
-            key = (j, S)
-            if key in memo:
-                return memo[key]
-            if len(S) > len(self.trees):
-                raise StructureError("conditioning set deeper than the stored trees")
-            result = None
-            for edge in self.trees[len(S) - 1].edges:
-                a, b = edge.conditioned
-                if a == j and b in S and edge.conditioning == S - {b}:
-                    u = rec(j, S - {b})
-                    v = rec(b, S - {b})
-                    result = float(edge.copula.cdf_u_given_v(u, v))
-                    break
-                if b == j and a in S and edge.conditioning == S - {a}:
-                    u = rec(a, S - {a})
-                    v = rec(j, S - {a})
-                    result = float(edge.copula.cdf_v_given_u(u, v))
-                    break
-            if result is None:
-                raise StructureError(
-                    f"conditional of {j} given {sorted(S)} is not derivable from the fitted trees")
-            memo[key] = result
-            return result
-
-        return rec(int(var), frozenset(int(i) for i in cond))
+        given[var] = value
+        if not all(0 <= i < self.dim for i in given):
+            raise ValueError(f"variable indices must lie in 0..{self.dim - 1}")
+        F = {(i, frozenset()): float(m.cdf(given[i])) if i in given else None
+             for i, m in enumerate(self.marginals)}
+        S = frozenset(given) - {var}
+        for _ in walk(self.trees[:len(S)], F,
+                      reads=lambda key: len(key[1]) < len(S) or key == (var, S)):
+            pass
+        if F.get((var, S)) is None:
+            raise StructureError(
+                f"conditional of {var} given {sorted(S)} is not derivable from the fitted trees")
+        return float(F[var, S])
 
 
 def fit_vine(data, truncation: int = 1, family: str = "kernel",
@@ -349,6 +318,8 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
         raise ValueError("need at least 2 variables")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
+    if family not in COPULA_FAMILIES:
+        raise ValueError(f"unknown copula family '{family}'")
     names = list(variable_names) if variable_names is not None else [f"x{i}" for i in range(d)]
     if len(names) != d:
         raise ValueError("variable_names length must match column count")
@@ -370,15 +341,14 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
             yield tree
             if len(trees) == levels:
                 return
-            tree = build_next_tree(tree, [{v: F[v, e.constraint - {v}] for v in e.conditioned}
-                                          for e in tree.edges])
+            tree = build_next_tree(tree, F)
 
     # conditional-cdf samples feed the next tree's tau matrix; computing
     # them for a tree nothing builds on would cost O(n^2) per edge for no
     # benefit, so the last fitted level skips them
     F = base_samples(U)
     for edge, s1, s2 in walk(grow(), F, reads=lambda key: len(key[1]) < levels):
-        edge.copula = _fit_edge_copula(family, s1, s2)
+        edge.copula = COPULA_FAMILIES[family].fit(s1, s2)
 
     return VineModel(marginals=marginals, trees=trees, variable_names=names,
                      target_index=target_index,

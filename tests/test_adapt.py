@@ -252,11 +252,16 @@ class TestInputValidation:
 
 
 class TestReportConsistency:
-    def test_count_mismatch_rejected(self):
-        good = FactorDecision("marginal(0)", 0.01, True, "target_only")
-        with pytest.raises(ValueError):
-            AdaptationReport(decisions=[good], n_changed_marginals=0,
-                             n_changed_copulas=0)
+    def test_counts_follow_decisions(self):
+        decisions = [FactorDecision("marginal(0)", 0.01, True, "target_only"),
+                     FactorDecision("marginal(1)", 0.50, False, "pooled"),
+                     FactorDecision("marginal(2)", 0.02, True, "pooled", fallback=True),
+                     FactorDecision("edge(0,1)", 0.03, True, "target_only"),
+                     FactorDecision("edge(1,2)", 0.0, False, "pooled", tested=False)]
+        report = AdaptationReport(decisions=decisions)
+        assert (report.n_changed_marginals, report.n_changed_copulas) == (2, 1)
+        assert AdaptationReport(decisions=[]).n_changed_marginals == 0
+        assert "changed marginals: 2" in report.summary()
 
     def test_summary_mentions_every_factor(self):
         rng = np.random.default_rng(11)

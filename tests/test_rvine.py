@@ -7,6 +7,7 @@ from scipy import integrate
 
 from vineshift.errors import (DegenerateDataError, InsufficientDataError,
                               StructureError)
+from vineshift import rvine
 from vineshift.bicopula import IndependenceCopula
 from vineshift.regress import predict_means
 from vineshift.rvine import (VineEdge, VineTree, base_samples, build_first_tree,
@@ -45,6 +46,55 @@ def brute_force_mst(weights, valid=None):
         if best is None or w > best[0]:
             best = (w, combo)
     return best
+
+
+def random_samples(prev, n, rng):
+    """walk's F after tree prev: a random sample for every key it writes."""
+    return {(v, e.constraint - {v}): rng.random(n) for e in prev.edges for v in e.conditioned}
+
+
+def recursive_conditional_cdf(model, var, value, conditioning=None):
+    """The recursion VineModel.conditional_cdf ran before walk served it.
+
+    Kept unchanged as the oracle for walk's arguments and for
+    conditional_cdf: it searches each tree for the edge whose h-function
+    gives F(j | S) instead of reading walk's keys.
+    """
+    cond = dict(conditioning or {})
+    if var in cond:
+        raise ValueError("query variable cannot appear in the conditioning set")
+    base = {int(i): float(model.marginals[i].cdf(x))
+            for i, x in {var: value, **cond}.items()}
+    memo: dict = {}
+
+    def rec(j: int, S: frozenset) -> float:
+        if not S:
+            return base[j]
+        key = (j, S)
+        if key in memo:
+            return memo[key]
+        if len(S) > len(model.trees):
+            raise StructureError("conditioning set deeper than the stored trees")
+        result = None
+        for edge in model.trees[len(S) - 1].edges:
+            a, b = edge.conditioned
+            if a == j and b in S and edge.conditioning == S - {b}:
+                u = rec(j, S - {b})
+                v = rec(b, S - {b})
+                result = float(edge.copula.cdf_u_given_v(u, v))
+                break
+            if b == j and a in S and edge.conditioning == S - {a}:
+                u = rec(a, S - {a})
+                v = rec(j, S - {a})
+                result = float(edge.copula.cdf_v_given_u(u, v))
+                break
+        if result is None:
+            raise StructureError(
+                f"conditional of {j} given {sorted(S)} is not derivable from the fitted trees")
+        memo[key] = result
+        return result
+
+    return rec(int(var), frozenset(int(i) for i in cond))
 
 
 class TestPrimMaxSpanningTree:
@@ -113,12 +163,7 @@ class TestEdgeAlgebra:
                                VineEdge((3, 4), frozenset(), (3, 4)),
                                VineEdge((0, 1), frozenset(), (0, 1)),
                                VineEdge((1, 2), frozenset(), (1, 2))])
-        rng = np.random.default_rng(22)
-        cond = []
-        for e in prev.edges:
-            j, k = e.conditioned
-            cond.append({j: rng.random(40), k: rng.random(40)})
-        tree = build_next_tree(prev, cond)
+        tree = build_next_tree(prev, random_samples(prev, 40, np.random.default_rng(22)))
         labels = {e.label() for e in tree.edges}
         # edge joining parents 0 and 1 must be 1,4|3
         joined = [e for e in tree.edges
@@ -157,12 +202,7 @@ class TestTreeConstruction:
                         edges=[VineEdge((0, 1), frozenset(), (0, 1)),
                                VineEdge((1, 2), frozenset(), (1, 2)),
                                VineEdge((2, 3), frozenset(), (2, 3))])
-        rng = np.random.default_rng(24)
-        cond = []
-        for e in prev.edges:
-            j, k = e.conditioned
-            cond.append({j: rng.random(60), k: rng.random(60)})
-        tree = build_next_tree(prev, cond)
+        tree = build_next_tree(prev, random_samples(prev, 60, np.random.default_rng(24)))
         labels = sorted(e.label() for e in tree.edges)
         assert labels == ["0,2|1", "1,3|2"]
 
@@ -173,12 +213,7 @@ class TestTreeConstruction:
                         edges=[VineEdge((0, 1), frozenset(), (0, 1)),
                                VineEdge((2, 3), frozenset(), (2, 3)),
                                VineEdge((1, 2), frozenset(), (1, 2))])
-        cond = []
-        rng = np.random.default_rng(25)
-        for e in prev.edges:
-            j, k = e.conditioned
-            cond.append({j: rng.random(30), k: rng.random(30)})
-        tree = build_next_tree(prev, cond)
+        tree = build_next_tree(prev, random_samples(prev, 30, np.random.default_rng(25)))
         for e in tree.edges:
             assert 2 in set(e.node_pair)  # parent index of {1,2}
 
@@ -246,6 +281,15 @@ class TestFitVine:
         for t in model.trees:
             for e in t.edges:
                 assert hasattr(e.copula, "rho")
+
+    def test_unknown_family_rejected_before_any_work(self, monkeypatch):
+        def no_tau(*args):
+            raise AssertionError("kendall_tau ran before the family was checked")
+
+        monkeypatch.setattr(rvine, "kendall_tau", no_tau)
+        X = np.random.default_rng(49).standard_normal((40, 3))
+        with pytest.raises(ValueError, match="unknown copula family"):
+            fit_vine(X, family="bogus")
 
     def test_metadata_recorded(self):
         rng = np.random.default_rng(32)
@@ -336,8 +380,42 @@ class TestConditionalCdf:
         with pytest.raises(ValueError):
             model.conditional_cdf(0, 0.0, {0: 1.0})
 
+    @pytest.mark.parametrize("var, cond", [(-1, {}), (3, {}), (5, {}),
+                                           (0, {1: 0.1, 4: 0.0}), (0, {-1: 0.0})])
+    def test_variable_index_out_of_range_raises(self, var, cond):
+        X = np.random.default_rng(47).standard_normal((60, 3))
+        model = fit_vine(X, truncation=2)
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            model.conditional_cdf(var, 0.3, cond)
 
-class TestPropagateArguments:
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_every_query_equals_recursion(self, family):
+        # all variables and conditioning sets of a d=5 vine truncated at
+        # 3: derivable queries give the recursion's value exactly, the
+        # others raise where it raises
+        rng = np.random.default_rng(48)
+        ds = gaussian_copula_chain(150, 5, rho=0.6, rng=rng)
+        model = fit_vine(ds.X, truncation=3, family=family)
+        x = rng.standard_normal(5)
+        derived = 0
+        for var in range(5):
+            others = [i for i in range(5) if i != var]
+            for r in range(5):
+                for S in itertools.combinations(others, r):
+                    cond = {i: x[i] for i in S}
+                    try:
+                        expect = recursive_conditional_cdf(model, var, x[var], cond)
+                    except StructureError:
+                        with pytest.raises(StructureError):
+                            model.conditional_cdf(var, x[var], cond)
+                        continue
+                    assert model.conditional_cdf(var, x[var], cond) == expect
+                    derived += 1
+        # each marginal, and both h-directions of every edge
+        assert derived == 5 + 2 * (4 + 3 + 2)
+
+
+class TestWalk:
     def test_matches_fit_time_samples(self):
         rng = np.random.default_rng(40)
         ds = gaussian_copula_chain(200, 4, rho=0.6, rng=rng)
@@ -373,7 +451,6 @@ class TestPropagateArguments:
         model = fit_vine(ds.X, truncation=2)
         U = np.column_stack([rank_pseudo_observations(ds.X[:, i])
                              for i in range(3)])
-        from vineshift.bicopula import IndependenceCopula
         swap = {id(model.trees[0].edges[0]): IndependenceCopula()}
         base = list(walk(model.trees, base_samples(U)))
         alt = list(walk(model.trees, base_samples(U),
@@ -384,13 +461,11 @@ class TestPropagateArguments:
                       for a, b in zip(alt[2:], base[2:]))
         assert changed
 
-
-class TestWalk:
     @pytest.mark.parametrize("rescaled", [False, True])
     @pytest.mark.parametrize("family", ["kernel", "gaussian"])
     def test_arguments_match_conditional_cdf(self, family, rescaled):
-        # each argument is F(x_v | x_D), which conditional_cdf evaluates
-        # by its own recursion
+        # each argument is F(x_v | x_D), which the oracle evaluates by its
+        # own recursion; conditional_cdf reads the same keys of walk
         rng = np.random.default_rng(43)
         scale, shift = (37.0, 1e4) if rescaled else (1.0, 0.0)
         ds = gaussian_copula_chain(150, 5, rho=0.6, rng=rng)
@@ -401,9 +476,11 @@ class TestWalk:
         for edge, s1, s2 in walk(model.trees, F):
             D = edge.conditioning
             for v, sample in zip(edge.conditioned, (s1, s2)):
-                expect = [model.conditional_cdf(v, x[v], {i: x[i] for i in D})
+                expect = [recursive_conditional_cdf(model, v, x[v], {i: x[i] for i in D})
                           for x in X]
                 assert_allclose(sample, expect, rtol=1e-12)
+                assert [model.conditional_cdf(v, x[v], {i: x[i] for i in D})
+                        for x in X] == expect
             seen += 1
         assert seen == 4 + 3 + 2
 
