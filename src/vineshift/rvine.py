@@ -26,23 +26,27 @@ F(v | S) in a dict under the key (v, S): edge (j, k | D) reads (j, D)
 and (k, D), so every argument is a lookup, not a search through the
 parent tree. Tree building reads the same dict: the candidate edge
 joining nodes N_p and N_q weighs (a, D) against (b, D), where
-{a, b} = N_p ^ N_q and D = N_p & N_q. The walker yields the edge with
-its arguments first and computes its h-values only when resumed, with
-the copula the caller then names, so a caller can fit or replace the
-copula in between; it writes (j, D | {k}) and (k, D | {j}), and only
-the keys a later tree reads. Once a tree is done nothing reads its
-arguments again, and they are dropped.
+{a, b} = N_p ^ N_q and D = N_p & N_q, and a tree's candidates are
+weighed together, by kendall_tau on blocks of stacked rows. The walker
+yields the edge with its arguments first and computes its h-values
+only when resumed, with the copula the caller then names, so a caller
+can fit or replace the copula in between; it writes (j, D | {k}) and
+(k, D | {j}), and only the keys a later tree reads (a fit: only those
+a candidate edge of the next tree reads). Once a tree is done nothing
+reads its arguments again, and they are dropped.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bicopula import GaussianCopula, KernelCopula
 from .errors import DegenerateDataError, InsufficientDataError, StructureError
-from .statcore import GaussianKernel1D, kendall_tau, rank_pseudo_observations
+from .statcore import (TAU_BLOCK_ENTRIES, GaussianKernel1D, kendall_tau,
+                       rank_pseudo_observations, row_blocks)
 
 
 def prim_max_spanning_tree(weights: np.ndarray, valid: np.ndarray | None = None,
@@ -133,11 +137,14 @@ def _build_tree(level: int, nodes: list, F: dict, adjacent) -> VineTree:
     nodes are constraint sets; adjacent(p, q) says whether nodes p < q
     may be joined. The edge joining them conditions on D = N_p & N_q
     and its weight is the tau of walk's samples F[a, D] and F[b, D] of
-    the pair {a, b} = N_p ^ N_q. Ties go to the smallest sorted pair.
+    the pair {a, b} = N_p ^ N_q. The candidates are collected first;
+    their taus then come from kendall_tau on stacked rows, one block of
+    about TAU_BLOCK_ENTRIES entries per call, so a tree's working memory
+    does not grow with its number of candidates. Ties go to the smallest
+    sorted pair.
     """
     m = len(nodes)
-    W = np.zeros((m, m))
-    valid = np.zeros((m, m), dtype=bool)
+    joined, xs, ys = [], [], []
     pair = {}
     for p in range(m):
         for q in range(p + 1, m):
@@ -149,9 +156,18 @@ def _build_tree(level: int, nodes: list, F: dict, adjacent) -> VineTree:
             D = nodes[p] & nodes[q]
             if F.get((a, D)) is None or F.get((b, D)) is None:
                 raise StructureError("missing conditional sample for candidate edge")
-            W[p, q] = W[q, p] = abs(kendall_tau(F[a, D], F[b, D]))
-            valid[p, q] = valid[q, p] = True
+            joined.append((p, q))
+            xs.append(F[a, D])
+            ys.append(F[b, D])
             pair[p, q] = pair[q, p] = tuple(sorted((a, b)))
+    taus = np.empty(len(joined))
+    for blk in row_blocks(len(joined), np.size(xs[0]) if xs else 0, TAU_BLOCK_ENTRIES):
+        taus[blk] = kendall_tau(np.stack(xs[blk]), np.stack(ys[blk]))
+    W = np.zeros((m, m))
+    valid = np.zeros((m, m), dtype=bool)
+    for (p, q), tau in zip(joined, taus):
+        W[p, q] = W[q, p] = abs(tau)
+        valid[p, q] = valid[q, p] = True
     pairs = prim_max_spanning_tree(W, valid=valid, edge_key=lambda i, j: pair[i, j])
     edges = [VineEdge(conditioned=pair[p, q], conditioning=nodes[p] & nodes[q],
                       node_pair=(p, q), weight=float(W[p, q]))
@@ -332,22 +348,29 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
 
     levels = min(truncation, d - 1)
     trees = []
+    # conditional-cdf samples feed the next tree's tau matrix and nothing
+    # else; each costs O(n^2) for a kernel copula. Edge (j, k | D) writes
+    # (j, D | {k}), which a candidate of the next tree reads exactly when
+    # the node D | {k} joins two or more edges of its tree. So the fit
+    # writes only keys conditioned on such nodes, and none at the last
+    # fitted level.
+    shared = set()
 
     def grow():
         # each tree is built from the conditional samples of the one before
         tree = build_first_tree(U)
         while True:
             trees.append(tree)
+            if len(trees) < levels:
+                degree = Counter(i for e in tree.edges for i in e.node_pair)
+                shared.update(tree.nodes[i] for i, k in degree.items() if k >= 2)
             yield tree
             if len(trees) == levels:
                 return
             tree = build_next_tree(tree, F)
 
-    # conditional-cdf samples feed the next tree's tau matrix; computing
-    # them for a tree nothing builds on would cost O(n^2) per edge for no
-    # benefit, so the last fitted level skips them
     F = base_samples(U)
-    for edge, s1, s2 in walk(grow(), F, reads=lambda key: len(key[1]) < levels):
+    for edge, s1, s2 in walk(grow(), F, reads=lambda key: key[1] in shared):
         edge.copula = COPULA_FAMILIES[family].fit(s1, s2)
 
     return VineModel(marginals=marginals, trees=trees, variable_names=names,

@@ -13,7 +13,7 @@ from vineshift.regress import predict_means
 from vineshift.rvine import (VineEdge, VineTree, base_samples, build_first_tree,
                              build_next_tree, fit_vine,
                              prim_max_spanning_tree, walk)
-from vineshift.statcore import rank_pseudo_observations
+from vineshift.statcore import kendall_tau, rank_pseudo_observations
 from vineshift.synth import gaussian_copula_chain, regression_task
 
 
@@ -51,6 +51,22 @@ def brute_force_mst(weights, valid=None):
 def random_samples(prev, n, rng):
     """walk's F after tree prev: a random sample for every key it writes."""
     return {(v, e.constraint - {v}): rng.random(n) for e in prev.edges for v in e.conditioned}
+
+
+def per_pair_tree(nodes, F, adjacent):
+    """Weights, mask and Prim tree from one 1-d kendall_tau call per candidate pair."""
+    m = len(nodes)
+    W = np.zeros((m, m))
+    valid = np.zeros((m, m), dtype=bool)
+    pair = {}
+    for p, q in itertools.combinations(range(m), 2):
+        if adjacent(p, q):
+            (a,), (b,) = nodes[p] - nodes[q], nodes[q] - nodes[p]
+            D = nodes[p] & nodes[q]
+            W[p, q] = W[q, p] = abs(kendall_tau(F[a, D], F[b, D]))
+            valid[p, q] = valid[q, p] = True
+            pair[p, q] = pair[q, p] = tuple(sorted((a, b)))
+    return W, valid, prim_max_spanning_tree(W, valid, edge_key=lambda i, j: pair[i, j])
 
 
 def recursive_conditional_cdf(model, var, value, conditioning=None):
@@ -206,6 +222,35 @@ class TestTreeConstruction:
         labels = sorted(e.label() for e in tree.edges)
         assert labels == ["0,2|1", "1,3|2"]
 
+    def test_batched_weights_equal_per_pair_oracle(self, monkeypatch):
+        # every tree of a d=8 Gaussian fit at truncation 7; tree 1's 28
+        # candidate pairs at n=400 fill two blocks of stacked rows
+        rng = np.random.default_rng(26)
+        X = gaussian_copula_chain(400, 8, rho=0.5, rng=rng).X
+        build, prim = rvine._build_tree, rvine.prim_max_spanning_tree
+        seen = []
+
+        def recording_prim(weights, valid=None, edge_key=None):
+            seen[-1]["weights"], seen[-1]["valid"] = weights.copy(), valid.copy()
+            return prim(weights, valid, edge_key)
+
+        def recording_build(level, nodes, F, adjacent):
+            seen.append({"oracle": per_pair_tree(nodes, F, adjacent)})
+            seen[-1]["tree"] = build(level, nodes, F, adjacent)
+            return seen[-1]["tree"]
+
+        monkeypatch.setattr(rvine, "prim_max_spanning_tree", recording_prim)
+        monkeypatch.setattr(rvine, "_build_tree", recording_build)
+        model = fit_vine(X, truncation=7, family="gaussian")
+        assert len(seen) == 7
+        for got, tree in zip(seen, model.trees, strict=True):
+            W, valid, pairs = got["oracle"]
+            assert np.array_equal(got["weights"], W)
+            assert np.array_equal(got["valid"], valid)
+            assert got["tree"] is tree
+            assert [e.node_pair for e in tree.edges] == pairs
+            assert [e.weight for e in tree.edges] == [W[p, q] for p, q in pairs]
+
     def test_proximity_condition_blocks_nonadjacent(self):
         # parents {0,1} and {2,3} share no node: the only valid T2 edges
         # go through {1,2}
@@ -290,6 +335,34 @@ class TestFitVine:
         X = np.random.default_rng(49).standard_normal((40, 3))
         with pytest.raises(ValueError, match="unknown copula family"):
             fit_vine(X, family="bogus")
+
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_fit_computes_only_h_values_next_tree_candidates_read(self, family, monkeypatch):
+        # the chain's first tree is a path, so its two leaves' keys are
+        # read by no candidate of tree 2
+        rng = np.random.default_rng(33)
+        X = gaussian_copula_chain(150, 6, rho=0.6, rng=rng).X
+        walked, written = rvine.walk, []
+
+        def recording_walk(trees, F, copula_of=None, reads=None):
+            def logged(key):
+                if reads(key):
+                    written.append(key)
+                    return True
+                return False
+            return walked(trees, F, copula_of, logged)
+
+        monkeypatch.setattr(rvine, "walk", recording_walk)
+        model = fit_vine(X, truncation=4, family=family)
+        read = []
+        for tree in model.trees[:-1]:
+            for ep, eq in itertools.combinations(tree.edges, 2):
+                if set(ep.node_pair) & set(eq.node_pair):
+                    D = ep.constraint & eq.constraint
+                    read += [(v, D) for v in ep.constraint ^ eq.constraint]
+        assert sorted(written, key=repr) == sorted(set(read), key=repr)
+        assert len(set(written)) == len(written)
+        assert len(written) < 2 * sum(len(t.edges) for t in model.trees[:-1])
 
     def test_metadata_recorded(self):
         rng = np.random.default_rng(32)

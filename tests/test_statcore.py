@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -243,11 +244,66 @@ def brute_tau(x, y):
     return s / (n * (n - 1) / 2)
 
 
+def row_taus(x, y):
+    """The 1-d kendall_tau of each row pair: the oracle for batched calls."""
+    return np.array([kendall_tau(a, b) for a, b in zip(x, y, strict=True)])
+
+
+def batch_rows(case, rng):
+    """(x, y) of shape (P, n) for one kind of batch."""
+    if case == "continuous":
+        return rng.standard_normal((2, 40, 300))
+    if case == "tied":
+        return rng.integers(0, 6, (2, 25, 200)).astype(float)
+    if case == "constant_y_row":
+        # a row with no y rank bits among rows that have them
+        x, y = rng.standard_normal((2, 7, 150))
+        y[3] = 0.25
+        return x, y
+    if case == "one_row":
+        return rng.standard_normal((2, 1, 500))
+    if case == "past_power_of_two":
+        # dense ranks up to 1024 need an eleventh bit; a few ties in x
+        x, y = rng.standard_normal((2, 9, 1025))
+        x[:, ::7] = 0.0
+        return x, y
+    raise ValueError(case)
+
+
+BATCH_CASES = ["continuous", "tied", "constant_y_row", "one_row", "past_power_of_two"]
+
+
 class TestKendallTau:
     def test_perfect_orderings(self):
         x = np.arange(10.0)
         assert kendall_tau(x, x) == 1.0
         assert kendall_tau(x, -x) == -1.0
+        assert type(kendall_tau(x, x)) is float
+        assert_array_equal(kendall_tau(np.stack([x, x]), np.stack([x, -x])), [1.0, -1.0])
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_batch_equals_row_calls(self, case, monkeypatch):
+        x, y = batch_rows(case, np.random.default_rng(BATCH_CASES.index(case)))
+        expect = row_taus(x, y)
+        got = kendall_tau(x, y)
+        assert got.shape == (x.shape[0],)
+        assert np.array_equal(got, expect)
+        # 700 entries: one to four rows per block, so most batches span blocks
+        monkeypatch.setattr(statcore, "TAU_BLOCK_ENTRIES", 700)
+        assert np.array_equal(kendall_tau(x, y), expect)
+
+    def test_batch_working_memory_is_bounded(self):
+        # a whole tree of candidate pairs (d=30: 435 rows at n=600, 2 MB
+        # per input) is counted one block of rows at a time
+        x, y = np.random.default_rng(19).standard_normal((2, 435, 600))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kendall_tau(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2 * 2**20
 
     def test_matches_brute_force_continuous(self):
         rng = np.random.default_rng(7)
@@ -279,6 +335,15 @@ class TestKendallTau:
             kendall_tau([1, 2], [1, 2, 3])
         with pytest.raises(InsufficientDataError):
             kendall_tau([1.0], [2.0])
+        with pytest.raises(InsufficientDataError):
+            kendall_tau(np.ones((3, 1)), np.ones((3, 1)))
+        # shapes must match exactly: a 2-d input is rows, never flattened
+        for xs, ys in (((2, 5), (3, 5)), ((2, 5), (2, 6)), ((5,), (1, 5)), ((1, 5), (5,)),
+                       ((2, 5), (10,))):
+            with pytest.raises(ValueError, match="same shape"):
+                kendall_tau(np.zeros(xs), np.zeros(ys))
+        with pytest.raises(ValueError):
+            kendall_tau(np.zeros((2, 2, 5)), np.zeros((2, 2, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -290,6 +355,13 @@ class TestKendallTau:
             kendall_tau(x, y_bad)
         with pytest.raises(ValueError, match="finite"):
             kendall_tau(y_bad, x)
+        # in a batch, one bad row fails the whole call
+        rows = np.tile(y, (4, 1))
+        rows[2] = y_bad
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(np.tile(x, (4, 1)), rows)
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(rows, np.tile(x, (4, 1)))
 
     def test_symmetric_bit_for_bit(self):
         rng = np.random.default_rng(13)
@@ -300,6 +372,8 @@ class TestKendallTau:
             else:
                 x, y = rng.standard_normal((2, n))
             assert kendall_tau(x, y) == kendall_tau(y, x)
+        x, y = rng.integers(0, 30, (2, 12, 150)).astype(float)
+        assert np.array_equal(kendall_tau(x, y), kendall_tau(y, x))
 
     def test_exact_on_large_tied_sample(self):
         # dense y ranks well past a power of two, many ties in both
@@ -307,6 +381,11 @@ class TestKendallTau:
         x = rng.integers(0, 40, 1500).astype(float)
         y = rng.integers(0, 1100, 1500).astype(float)
         assert kendall_tau(x, y) == brute_tau(x, y)
+        # the same row in a batch beside a constant-y row and a continuous one
+        xs = np.stack([x, x, rng.standard_normal(1500)])
+        ys = np.stack([y, np.full(1500, 3.0), rng.standard_normal(1500)])
+        assert np.array_equal(kendall_tau(xs, ys), row_taus(xs, ys))
+        assert kendall_tau(xs, ys)[0] == brute_tau(x, y)
 
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=25),
            st.data())
