@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bicopula import GaussianCopula, KernelCopula
 from .dataio import Dataset
 from .errors import InsufficientDataError, SchemaError
 from .mmd import MmdConfig, permutation_test
@@ -158,7 +157,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
 
     Returns (adapted_model, report). The adapted model keeps the source
     tree topology and variable order; only marginals and pair copulas
-    are re-estimated.
+    are re-estimated, on a copy of the source trees, so source_vine is
+    left as it was.
     """
     names = source_vine.variable_names
     d = source_vine.dim
@@ -242,22 +242,14 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         new_marginals[i] = GaussianKernel1D.fit(
             tgt_col if alone else np.concatenate([src_col, tgt_col]))
 
-    # Post-adaptation marginal of each domain: a changed variable keeps the
-    # source fit on the source side, everything else shares the new fit.
+    # Each domain's rows under its post-adaptation marginals, for the
+    # first-tree tests: a changed variable keeps the source fit on the
+    # source side, everything else shares the new fit. The labeled rows
+    # lead the target rows, so U_tgt[:lab_rows] holds them.
     changed = {dec.factor_id for dec in decisions if dec.changed}
-    F_src = [source_vine.marginals[i] if f"marginal({i})" in changed else new_marginals[i]
-             for i in range(d)]
-    F_tgt = new_marginals
-    cdf_sides = {"source": (F_src, Xs), "target": (F_tgt, Xt),
-                 "target_labeled": (F_tgt, Xt_lab)}
-    cdf_columns: dict = {}
-
-    def cdf_column(i: int, side: str) -> np.ndarray:
-        """Column i of one side's rows under that side's marginal, computed once."""
-        if (i, side) not in cdf_columns:
-            F, X = cdf_sides[side]
-            cdf_columns[i, side] = F[i].cdf(X[:, i])
-        return cdf_columns[i, side]
+    U_src = np.column_stack([(source_vine.marginals[i] if f"marginal({i})" in changed
+                              else m).cdf(Xs[:, i]) for i, m in enumerate(new_marginals)])
+    U_tgt = np.column_stack([m.cdf(Xt[:, i]) for i, m in enumerate(new_marginals)])
 
     # -- rank pseudo-observations per refit row set -------------------------
     def _ranks(X: np.ndarray, keep_y: bool) -> np.ndarray:
@@ -268,52 +260,41 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
             U[:, i] = rank_pseudo_observations(X[:, i])
         return U
 
-    U_tgt_all = _ranks(Xt, keep_y=False) if n_t >= MIN_REFIT else None
-    U_tgt_lab = (_ranks(Xt_lab, keep_y=True)
+    R_tgt_all = _ranks(Xt, keep_y=False) if n_t >= MIN_REFIT else None
+    R_tgt_lab = (_ranks(Xt_lab, keep_y=True)
                  if not unsup and lab_rows >= MIN_REFIT else None)
 
-    def _refit(cop, s1, s2):
-        if isinstance(cop, (KernelCopula, GaussianCopula)):
-            return type(cop).fit(s1, s2)
-        return cop  # nothing data-driven to re-estimate
-
     # -- walk the trees ------------------------------------------------------
-    # Two streams of copula arguments over the pooled rows, all rows (the
-    # target variable absent) and labeled rows (none in unsupervised
-    # mode), both carried through the copulas chosen for the new model.
+    # A copy of the source trees whose copulas are refit as the walk
+    # reaches them. Two streams of copula arguments over the pooled rows,
+    # all rows (the target variable absent) and labeled rows (none in
+    # unsupervised mode), both carried through the copulas refit so far.
+    trees = [VineTree(level=t.level, nodes=list(t.nodes), edges=[replace(e) for e in t.edges])
+             for t in source_vine.trees]
     pool_all = base_samples(_ranks(np.vstack([Xs, Xt]), keep_y=False))
     pool_lab = (dict.fromkeys((i, frozenset()) for i in range(d)) if unsup
                 else base_samples(_ranks(np.vstack([Xs, Xt_lab]), keep_y=True)))
-    chosen: dict = {}
-    walks = [walk(source_vine.trees, F, lambda e: chosen[id(e)]) for F in (pool_all, pool_lab)]
-    for (src_edge, a1, a2), (_, b1, b2) in zip(*walks):
-        j, k = src_edge.conditioned
-        uses_y = y in src_edge.constraint
-        fid = f"edge({src_edge.label()})"
+    for (edge, a1, a2), (_, b1, b2) in zip(walk(trees, pool_all), walk(trees, pool_lab)):
+        j, k = edge.conditioned
+        uses_y = y in edge.constraint
+        fid = f"edge({edge.label()})"
         if uses_y and unsup:
-            chosen[id(src_edge)] = src_edge.copula
             copied.append(fid)
             continue
         rows = (b1, b2) if uses_y else (a1, a2)
-        if not src_edge.conditioning:  # deeper trees are refit from pooled rows, untested
-            side = "target_labeled" if uses_y else "target"
-            us = np.column_stack([cdf_column(j, "source"), cdf_column(k, "source")])
-            ut = np.column_stack([cdf_column(j, side), cdf_column(k, side)])
-            if refit_target_only(fid, us, ut):
-                U_tgt = U_tgt_lab if uses_y else U_tgt_all
-                rows = U_tgt[:, j], U_tgt[:, k]
-        chosen[id(src_edge)] = _refit(src_edge.copula, *rows)
-
-    trees_new = [VineTree(level=t.level, nodes=list(t.nodes),
-                          edges=[replace(e, copula=chosen[id(e)]) for e in t.edges])
-                 for t in source_vine.trees]
+        if not edge.conditioning:  # deeper trees are refit from pooled rows, untested
+            tgt = U_tgt[:lab_rows] if uses_y else U_tgt
+            if refit_target_only(fid, U_src[:, [j, k]], tgt[:, [j, k]]):
+                R = R_tgt_lab if uses_y else R_tgt_all
+                rows = R[:, j], R[:, k]
+        edge.copula = type(edge.copula).fit(*rows)
 
     meta = dict(source_vine.fit_metadata)
     meta.update({"adapted": True, "mode": inp.mode, "n_source": int(n_s),
                  "n_target": int(n_t), "n_target_labeled": int(lab_rows)})
     model = VineModel(
         marginals=new_marginals,
-        trees=trees_new,
+        trees=trees,
         variable_names=list(names),
         target_index=y,
         fit_metadata=meta,

@@ -2,14 +2,16 @@
 
 Three families share one small interface:
 
+  fit(u, v)               classmethod: the copula estimated from the
+                          pseudo-observation samples u, v
   log_density(u, v)       log copula density
   cdf_u_given_v(u, v)     conditional cdf P(U <= u | V = v), the h-function
   cdf_v_given_u(u, v)     conditional cdf P(V <= v | U = u)
 
 and inherit density(u, v) = exp(log_density(u, v)) from one base class.
-Each method takes its argument shapes through statcore.elementwise:
-arguments broadcast, the result has their shape, and all-scalar
-arguments give a float.
+The other methods take their argument shapes through
+statcore.elementwise: arguments broadcast, the result has their shape,
+and all-scalar arguments give a float.
 
 KernelCopula is the non-parametric estimator: pseudo-observations are
 mapped to the Gaussian z-scale, a bivariate Gaussian mixture is placed
@@ -365,6 +367,11 @@ class GaussianCopula(_Copula):
 @dataclass(frozen=True)
 class IndependenceCopula(_Copula):
     """Copula with density identically 1; h(u|v) = u."""
+
+    @classmethod
+    def fit(cls, u, v) -> "IndependenceCopula":
+        """Nothing to estimate: the independence copula whatever the data."""
+        return cls()
 
     @elementwise
     def log_density(self, u, v):

@@ -25,8 +25,8 @@ from .dataio import Dataset, read_csv, write_csv
 from .errors import (DegenerateDataError, InsufficientDataError, ParseError,
                      SchemaError, StructureError)
 from .mmd import MmdConfig, permutation_test
-from .regress import (conditional_density_batch, default_grid, evaluate,
-                      feature_indices, predict_means)
+from .regress import (_point_predictions, conditional_density_batch, default_grid,
+                      evaluate, feature_indices)
 from .rvine import COPULA_FAMILIES, fit_vine
 
 EXIT_OK = 0
@@ -163,13 +163,12 @@ def cmd_predict(args) -> int:
     ds = read_csv(args.test)
     X_feat = _feature_table(model, ds)
     grid = default_grid(model, args.grid_points)
-    preds = predict_means(model, X_feat, grid)
-    cols = [("prediction", preds)]
+    dens = conditional_density_batch(model, X_feat, grid)
+    cols = [("prediction", _point_predictions(dens, grid, "mean"))]
     if args.log_density:
         y_name = model.variable_names[model.target_index]
         if y_name not in ds.names:
             raise SchemaError(f"--log-density needs the '{y_name}' column")
-        dens = conditional_density_batch(model, X_feat, grid)
         y = ds.column(y_name)
         vals = np.array([np.interp(y[r], grid.points, dens[r]) for r in range(ds.n)])
         cols.append(("log_density", np.log(np.maximum(vals, 1e-300))))

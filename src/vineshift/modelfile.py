@@ -98,7 +98,9 @@ def _check_edges(trees: list, d: int) -> None:
     A tree-1 edge joins the two variables it names; a deeper edge joins
     two node-sharing parent edges, its conditioned pair is the symmetric
     difference of their constraint sets and its conditioning set their
-    intersection. The edges of each tree must span its nodes.
+    intersection. The edges of each tree must span its nodes. Tree 1's
+    nodes are the variables and a deeper tree's nodes are the constraint
+    sets of the edges below, in order.
     """
     for e in trees[0].edges:
         if (e.conditioning or sorted(e.node_pair) != sorted(e.conditioned)
@@ -123,6 +125,12 @@ def _check_edges(trees: list, d: int) -> None:
                 raise ParseError(f"the edges of tree {tree.level} do not form a tree")
             merged = part[p] | part[q]
             part.update(dict.fromkeys(merged, merged))
+    below = [[frozenset([i]) for i in range(d)]] + [[e.constraint for e in t.edges]
+                                                    for t in trees[:-1]]
+    for tree, nodes in zip(trees, below):
+        if tree.nodes != nodes:
+            raise ParseError(f"tree {tree.level} nodes {[sorted(n) for n in tree.nodes]} "
+                             f"should be {[sorted(n) for n in nodes]}")
 
 
 def _fold_normalization(marginals: list, mean: np.ndarray, std: np.ndarray) -> list:

@@ -98,7 +98,11 @@ def predict_means(vine: VineModel, X_feat, grid: YGrid | None = None,
     """Point predictions from the conditional density (mean or median)."""
     if grid is None:
         grid = default_grid(vine)
-    dens = conditional_density_batch(vine, X_feat, grid)
+    return _point_predictions(conditional_density_batch(vine, X_feat, grid), grid, point)
+
+
+def _point_predictions(dens: np.ndarray, grid: YGrid, point: str) -> np.ndarray:
+    """Mean or median of each row of conditional densities over grid."""
     if point == "mean":
         return np.trapezoid(dens * grid.points, grid.points, axis=1)
     if point == "median":

@@ -29,11 +29,12 @@ joining nodes N_p and N_q weighs (a, D) against (b, D), where
 {a, b} = N_p ^ N_q and D = N_p & N_q, and a tree's candidates are
 weighed together, by kendall_tau on blocks of stacked rows. The walker
 yields the edge with its arguments first and computes its h-values
-only when resumed, with the copula the caller then names, so a caller
-can fit or replace the copula in between; it writes (j, D | {k}) and
-(k, D | {j}), and only the keys a later tree reads (a fit: only those
-a candidate edge of the next tree reads). Once a tree is done nothing
-reads its arguments again, and they are dropped.
+only when resumed, with the copula the edge holds by then, so a caller
+fits the copula in between by setting edge.copula (fit_vine on the
+trees it grows, adapt_vine on a copy of the source trees); it writes
+(j, D | {k}) and (k, D | {j}), and only the keys a later tree reads (a
+fit: only those a candidate edge of the next tree reads). Once a tree
+is done nothing reads its arguments again, and they are dropped.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def build_next_tree(prev: VineTree, F: dict) -> VineTree:
                                          & set(prev.edges[q].node_pair)))
 
 
-def walk(trees, F: dict, copula_of=None, reads=None):
+def walk(trees, F: dict, reads=None):
     """Yield (edge, s1, s2) for every edge of trees, tree by tree.
 
     F maps (v, frozenset()) to the sample of variable v's cdf, or to
@@ -209,13 +210,12 @@ def walk(trees, F: dict, copula_of=None, reads=None):
     involve an absent variable yields (edge, None, None). Samples may be
     any arrays that broadcast against each other; h-values take the
     broadcast shape. On resumption after an edge, its h-values are
-    computed with copula_of(edge) (default: the edge's own copula) and
-    stored in F for the keys for which reads(key) is true (default: the
-    keys read by trees[1:], which must then be a sequence). F is updated
-    in place, so trees may be produced lazily from it.
+    computed with edge.copula as it stands then, so the caller may set
+    it in between, and stored in F for the keys for which reads(key) is
+    true (default: the keys read by trees[1:], which must then be a
+    sequence). F is updated in place, so trees may be produced lazily
+    from it.
     """
-    if copula_of is None:
-        copula_of = lambda e: e.copula
     if reads is None:
         reads = {(v, e.conditioning) for t in trees[1:] for e in t.edges
                  for v in e.conditioned}.__contains__
@@ -232,8 +232,7 @@ def walk(trees, F: dict, copula_of=None, reads=None):
             yield edge, s1, s2
             keys = [key for key in ((j, D | {k}), (k, D | {j})) if reads(key)]
             if keys and s1 is not None:
-                cop = copula_of(edge)
-                h = {j: cop.cdf_u_given_v, k: cop.cdf_v_given_u}
+                h = {j: edge.copula.cdf_u_given_v, k: edge.copula.cdf_v_given_u}
                 for v, S in keys:
                     F[v, S] = h[v](s1, s2)
             else:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,9 +7,11 @@ from numpy.testing import assert_allclose
 from vineshift.adapt import (MIN_REFIT, MIN_TEST, AdaptationInput,
                              AdaptationReport, FactorDecision, adapt_vine,
                              factor_samples)
+from vineshift.bicopula import IndependenceCopula
 from vineshift.dataio import Dataset
 from vineshift.errors import InsufficientDataError, SchemaError
 from vineshift.mmd import MmdConfig
+from vineshift.modelfile import model_to_doc
 from vineshift.rvine import fit_vine
 from vineshift.synth import (copula_flip_pair, gaussian_copula_chain,
                              marginal_shift_pair)
@@ -66,6 +70,45 @@ class TestExactCopyIsNoOp:
                 [e.label() for e in t_new.edges]
             assert [e.node_pair for e in t_src.edges] == \
                 [e.node_pair for e in t_new.edges]
+
+
+class TestSourceVine:
+    """adapt_vine refits copulas on a copy of the source trees."""
+
+    def shifted_inputs(self, mode):
+        rng = np.random.default_rng(15)
+        src, tgt = marginal_shift_pair(250, 4, 0.6, rng, shift_col=0, shift=2.0)
+        lab = None if mode == "unsupervised" else Dataset(src.names, tgt.X[:60])
+        unl = Dataset(src.names[:3], tgt.X[60:, :3])
+        return AdaptationInput(source=src, target_labeled=lab, target_unlabeled=unl,
+                               target_index=3, mode=mode,
+                               mmd_config=MmdConfig(permutations=60, seed=15))
+
+    @pytest.mark.parametrize("mode", ["supervised", "semi_supervised", "unsupervised"])
+    def test_source_vine_untouched(self, mode):
+        inp = self.shifted_inputs(mode)
+        model = fit_source(inp.source, truncation=3, target_index=3)
+        before = model_to_doc(model)
+        copulas = [e.copula for t in model.trees for e in t.edges]
+        adapted, report = adapt_vine(model, inp)
+        assert report.n_changed_marginals >= 1
+        assert all(e.copula is c for e, c in zip((e for t in model.trees for e in t.edges),
+                                                 copulas, strict=True))
+        assert json.dumps(model_to_doc(model), sort_keys=True) == \
+            json.dumps(before, sort_keys=True)
+        assert not any(a is b for ta, tb in zip(model.trees, adapted.trees)
+                       for a, b in zip(ta.edges, tb.edges))
+
+    @pytest.mark.parametrize("mode", ["semi_supervised", "unsupervised"])
+    def test_independence_edge_stays_independence(self, mode):
+        inp = self.shifted_inputs(mode)
+        model = fit_source(inp.source, truncation=2, target_index=3)
+        for tree in model.trees:
+            tree.edges[0].copula = IndependenceCopula()
+        adapted, _ = adapt_vine(model, inp)
+        for tree in adapted.trees:
+            assert isinstance(tree.edges[0].copula, IndependenceCopula)
+            assert not any(isinstance(e.copula, IndependenceCopula) for e in tree.edges[1:])
 
 
 class TestShiftDetection:

@@ -166,6 +166,23 @@ class TestPredictEval:
         # observed targets should usually sit in the bulk of the density
         assert np.median(ld) > -3.0
 
+    def test_log_density_builds_the_densities_once(self, workdir, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return batch(*args)
+
+        batch = cli.conditional_density_batch
+        monkeypatch.setattr(cli, "conditional_density_batch", counted)
+        both, plain = tmp_path / "both.csv", tmp_path / "plain.csv"
+        assert run("predict", workdir / "model.json", workdir / "test.csv",
+                   "-o", both, "--log-density") == 0
+        assert len(calls) == 1
+        assert run("predict", workdir / "model.json", workdir / "test.csv", "-o", plain) == 0
+        assert np.array_equal(read_csv(both).column("prediction"),
+                              read_csv(plain).column("prediction"))
+
     def test_feature_only_rows_accepted(self, workdir, tmp_path):
         feats = read_csv(workdir / "test.csv").drop("y")
         f = tmp_path / "feat.csv"

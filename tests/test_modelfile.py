@@ -226,6 +226,24 @@ class TestValidation:
         with pytest.raises(ParseError, match="tree 1"):
             model_from_doc(doc)
 
+    @pytest.mark.parametrize("level, nodes", [
+        (0, [[0], [1], [3], [2]]),  # tree 1's nodes are the variables in order
+        (0, [[0], [1], [2], [3, 4]]),
+        (1, [[7, 9], [0], [2, 3, 5]]),  # a deeper tree's are the edges' constraint sets
+        (2, [[0, 1, 2]] * 2)])
+    def test_nodes_contradicting_edges_rejected(self, level, nodes):
+        doc = self.make_doc()
+        doc["trees"][level]["nodes"] = nodes
+        with pytest.raises(ParseError, match=f"tree {level + 1} nodes"):
+            model_from_doc(doc)
+
+    def test_deeper_nodes_follow_edge_order(self):
+        doc = self.make_doc()
+        nodes = doc["trees"][1]["nodes"]
+        nodes[0], nodes[1] = nodes[1], nodes[0]
+        with pytest.raises(ParseError, match="tree 2 nodes"):
+            model_from_doc(doc)
+
     @pytest.mark.parametrize("level", [0, 1])
     def test_repeated_edge_rejected(self, level):
         # n - 1 edges with one repeated leave a node out of the last tree

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ from vineshift.rvine import (VineEdge, VineTree, base_samples, build_first_tree,
                              prim_max_spanning_tree, walk)
 from vineshift.statcore import kendall_tau, rank_pseudo_observations
 from vineshift.synth import gaussian_copula_chain, regression_task
+
+
+def copy_trees(trees):
+    """The trees with every edge copied, so setting a copula leaves trees as they are."""
+    return [VineTree(level=t.level, nodes=list(t.nodes), edges=[replace(e) for e in t.edges])
+            for t in trees]
 
 
 def spanning_tree_weight(weights, edges):
@@ -344,13 +351,13 @@ class TestFitVine:
         X = gaussian_copula_chain(150, 6, rho=0.6, rng=rng).X
         walked, written = rvine.walk, []
 
-        def recording_walk(trees, F, copula_of=None, reads=None):
+        def recording_walk(trees, F, reads=None):
             def logged(key):
                 if reads(key):
                     written.append(key)
                     return True
                 return False
-            return walked(trees, F, copula_of, logged)
+            return walked(trees, F, logged)
 
         monkeypatch.setattr(rvine, "walk", recording_walk)
         model = fit_vine(X, truncation=4, family=family)
@@ -524,10 +531,10 @@ class TestWalk:
         model = fit_vine(ds.X, truncation=2)
         U = np.column_stack([rank_pseudo_observations(ds.X[:, i])
                              for i in range(3)])
-        swap = {id(model.trees[0].edges[0]): IndependenceCopula()}
+        swapped = copy_trees(model.trees)
+        swapped[0].edges[0].copula = IndependenceCopula()
         base = list(walk(model.trees, base_samples(U)))
-        alt = list(walk(model.trees, base_samples(U),
-                        copula_of=lambda e: swap.get(id(e), e.copula)))
+        alt = list(walk(swapped, base_samples(U)))
         # T1 arguments identical, T2 arguments must differ
         assert_allclose(alt[0][1], base[0][1])
         changed = any(not np.allclose(a[1], b[1])
@@ -578,20 +585,24 @@ class TestWalk:
 
         class Counting:
             def __init__(self, edge):
-                self.edge = edge
+                self.edge, self.copula = edge, edge.copula
 
             def cdf_u_given_v(self, u, v):
                 j, k = self.edge.conditioned
                 computed.append((j, self.edge.conditioning | {k}))
-                return self.edge.copula.cdf_u_given_v(u, v)
+                return self.copula.cdf_u_given_v(u, v)
 
             def cdf_v_given_u(self, u, v):
                 j, k = self.edge.conditioned
                 computed.append((k, self.edge.conditioning | {j}))
-                return self.edge.copula.cdf_v_given_u(u, v)
+                return self.copula.cdf_v_given_u(u, v)
 
         U = np.column_stack([rank_pseudo_observations(ds.X[:, i]) for i in range(5)])
-        list(walk(model.trees, base_samples(U), copula_of=Counting))
+        counted = copy_trees(model.trees)
+        for tree in counted:
+            for edge in tree.edges:
+                edge.copula = Counting(edge)
+        list(walk(counted, base_samples(U)))
         reads = [(v, e.conditioning) for t in model.trees[1:] for e in t.edges
                  for v in e.conditioned]
         assert sorted(computed, key=repr) == sorted(reads, key=repr)

@@ -12,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from vineshift import rvine
+from vineshift import adapt, rvine
+from vineshift.dataio import Dataset
+from vineshift.mmd import MmdConfig
+from vineshift.synth import marginal_shift_pair
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -41,3 +44,21 @@ def test_fit_goes_through_the_traced_tree_builders():
     assert tracer.counts["rvine.tree_build.calls"] == 3
     assert tracer.counts["statcore.kendall_tau.calls"] > 0
     assert tracer.counts["rvine.fit_vine.calls"] == 1
+
+
+def test_adapt_runs_one_traced_mmd_test_per_tested_factor():
+    # the benchmark counts the MMD tests that sit directly under
+    # adapt_vine's span and requires one per tested factor
+    spans = load_spans()
+    src, tgt = marginal_shift_pair(120, 4, 0.6, np.random.default_rng(1), shift_col=0, shift=2.0)
+    vine = rvine.fit_vine(src.X, truncation=2, variable_names=src.names, target_index=3)
+    inp = adapt.AdaptationInput(source=src, target_labeled=Dataset(src.names, tgt.X[:30]),
+                                target_unlabeled=Dataset(src.names[:3], tgt.X[30:, :3]),
+                                target_index=3, mmd_config=MmdConfig(permutations=50, seed=0))
+    with spans.installed(spans.Tracer("bindings")) as tracer:
+        _, report = adapt.adapt_vine(vine, inp)
+    tested = sum(d.tested for d in report.decisions)
+    assert tested == 4 + 3
+    assert tracer.counts["adapt.adapt_vine.calls"] == 1
+    assert tracer.counts["mmd.permutation_test.calls"] == tested
+    assert tracer.children("adapt.adapt_vine", "mmd.permutation_test") == tested
