@@ -245,11 +245,18 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     # Each domain's rows under its post-adaptation marginals, for the
     # first-tree tests: a changed variable keeps the source fit on the
     # source side, everything else shares the new fit. The labeled rows
-    # lead the target rows, so U_tgt[:lab_rows] holds them.
+    # lead the target rows, so U_tgt[:lab_rows] holds them; the target
+    # column is computed only where a y-edge test reads it, and not at
+    # all in unsupervised mode, which copies every y-edge.
     changed = {dec.factor_id for dec in decisions if dec.changed}
-    U_src = np.column_stack([(source_vine.marginals[i] if f"marginal({i})" in changed
-                              else m).cdf(Xs[:, i]) for i, m in enumerate(new_marginals)])
-    U_tgt = np.column_stack([m.cdf(Xt[:, i]) for i, m in enumerate(new_marginals)])
+    U_src, U_tgt = np.full_like(Xs, np.nan), np.full_like(Xt, np.nan)
+    for i, m in enumerate(new_marginals):
+        if i == y and unsup:
+            continue
+        rows = slice(lab_rows) if i == y else slice(None)
+        U_tgt[rows, i] = m.cdf(Xt[rows, i])
+        U_src[:, i] = (source_vine.marginals[i] if f"marginal({i})" in changed
+                       else m).cdf(Xs[:, i])
 
     # -- rank pseudo-observations per refit row set -------------------------
     def _ranks(X: np.ndarray, keep_y: bool) -> np.ndarray:

@@ -45,18 +45,22 @@ map_coordinates for the queries, mirror boundaries), imported when a
 table is first built or read so that importing the package does not
 load it. A node where the weight product of log c underflows takes
 the exact log-sum-exp, so log densities stay finite. Tables are not
-stored on the copula: a small memo holds the last few built, which
-keeps a fitted vine's memory at its centres. A table depends on the
-copula only, so a query's value does not depend on the batch it comes
-in. A copula whose bandwidth would need more than _MAX_NODES nodes on
-an axis evaluates the exact sums instead, one statcore.row_blocks block
-of queries at a time; those stay as the reference the tables are
-tested against.
+stored on the copula, which keeps a fitted vine's memory at its
+centres: a memo holds the most recently read tables, up to _MEMO_BYTES
+in all, so a walk reuses the tables an earlier walk over the same vine
+built (score after predict, predict after fit or adapt). A table
+depends on the copula only, so a query's value depends neither on the
+batch it comes in nor on whether its table was memoised. A copula
+whose bandwidth would need more than _MAX_NODES nodes on an axis
+evaluates the exact sums instead, one statcore.row_blocks block of
+queries at a time; those stay as the reference the tables are tested
+against.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +79,17 @@ _PAD_NODES = 2
 _MAX_NODES = 512
 _Z_MAX = float(-ndtri(EPS))
 
-# Tables kept at once (141 KB each at n=1200). A vine walk reads each
-# table once, but scalar loops cycle through several: row by row, the log
-# density of a d=3 vine truncated at 2 reads five, and a least-recently-
-# used memo smaller than the cycle rebuilds a table on every call.
-_MEMO_TABLES = 8
+# Bytes of tables the memo keeps. A walk over a d=10 vine truncated at 2
+# (17 edges) reads 33 tables of 90-190 KB, always in the same order, and
+# scalar loops cycle too: row by row, a d=3 vine truncated at 2 reads
+# five. A least-recently-used memo smaller than such a cycle rebuilds
+# every table of it on every pass. 3 MiB holds what consecutive walks
+# share (the 18 tables of a predict, 1.6-1.9 MiB, which the score after
+# it reads again), but not a whole scoring walk at n=300 (3.1 MiB) or
+# n=600 (3.7 MiB); 4 MiB would, for about 1 MB more peak memory.
+# Counting bytes also bounds the worst case, tables of _MAX_NODES^2
+# nodes (2 MB each).
+_MEMO_BYTES = 3 << 20
 
 # Below this a weight product of log c has lost its precision to underflow.
 _UNDERFLOW = 1e-250
@@ -166,13 +176,36 @@ def _node_values(cop: "KernelCopula", kind: str) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=_MEMO_TABLES)
+# (copula, kind) -> table, least recently read first; guarded by _tables_lock.
+_tables: OrderedDict = OrderedDict()
+_tables_lock = threading.Lock()
+
+
 def _spline_table(cop: "KernelCopula", kind: str) -> np.ndarray:
-    """Read-only cubic B-spline coefficients interpolating kind on cop's nodes."""
+    """Read-only cubic B-spline coefficients interpolating kind on cop's nodes.
+
+    Tables are memoised, and the least recently read are dropped while
+    their total nbytes exceeds _MEMO_BYTES; a table built now is returned
+    even when it alone is over. Tables are built outside the lock, so two
+    threads may build the same one; both are the same bits, and the one
+    kept first is returned.
+    """
+    key = (cop, kind)
+    with _tables_lock:
+        coef = _tables.get(key)
+        if coef is not None:
+            _tables.move_to_end(key)
+            return coef
     from scipy.ndimage import spline_filter
 
     coef = spline_filter(_node_values(cop, kind), order=3, mode="mirror")
     coef.flags.writeable = False
+    with _tables_lock:
+        coef = _tables.setdefault(key, coef)
+        _tables.move_to_end(key)
+        kept = sum(t.nbytes for t in _tables.values())
+        while kept > _MEMO_BYTES:
+            kept -= _tables.popitem(last=False)[1].nbytes
     return coef
 
 

@@ -157,11 +157,15 @@ def model_from_doc(doc) -> VineModel:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
         names = [str(s) for s in doc["variable_names"]]
+        d = len(names)
         marginals = [GaussianKernel1D(np.asarray(m["centers"], dtype=float),
                                       float(m["bandwidth"]))
                      for m in doc["marginals"]]
         trees = []
-        for t in doc["trees"]:
+        for lvl, t in enumerate(doc["trees"], start=1):
+            if lvl < d and len(t["nodes"]) != d - lvl + 1:
+                raise ParseError(f"tree {lvl} has {len(t['nodes'])} nodes; tree {lvl} "
+                                 f"of a {d}-variable vine has {d - lvl + 1}")
             edges = [VineEdge(conditioned=tuple(e["conditioned"]),
                               conditioning=frozenset(e["conditioning"]),
                               node_pair=tuple(int(i) for i in e["node_pair"]),
@@ -184,7 +188,6 @@ def model_from_doc(doc) -> VineModel:
     except (KeyError, TypeError, ValueError, StructureError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None
 
-    d = len(names)
     if len(model.marginals) != d:
         raise ParseError("marginal count does not match variable names")
     if not model.trees or len(model.trees) > d - 1:

@@ -13,6 +13,7 @@ from vineshift.errors import InsufficientDataError, SchemaError
 from vineshift.mmd import MmdConfig
 from vineshift.modelfile import model_to_doc
 from vineshift.rvine import fit_vine
+from vineshift.statcore import GaussianKernel1D
 from vineshift.synth import (copula_flip_pair, gaussian_copula_chain,
                              marginal_shift_pair)
 
@@ -109,6 +110,22 @@ class TestSourceVine:
         for tree in adapted.trees:
             assert isinstance(tree.edges[0].copula, IndependenceCopula)
             assert not any(isinstance(e.copula, IndependenceCopula) for e in tree.edges[1:])
+
+    @pytest.mark.parametrize("mode, target_rows, y_rows", [
+        ("semi_supervised", 60 + 190, 250 + 60), ("unsupervised", 190, 0)])
+    def test_marginal_cdfs_only_where_a_test_reads_them(self, mode, target_rows, y_rows,
+                                                        monkeypatch):
+        # a feature's cdf is taken on the 250 source rows and every target
+        # row, the target's on the source and the 60 labeled rows only, and
+        # not at all when every y-edge is copied
+        inp = self.shifted_inputs(mode)
+        model = fit_source(inp.source, truncation=2, target_index=3)
+        rows = []
+        cdf = GaussianKernel1D.cdf
+        monkeypatch.setattr(GaussianKernel1D, "cdf",
+                            lambda self, x: rows.append(np.size(x)) or cdf(self, x))
+        adapt_vine(model, inp)
+        assert sum(rows) == 3 * (250 + target_rows) + y_rows
 
 
 class TestShiftDetection:

@@ -1,12 +1,18 @@
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 
-from vineshift import bicopula
+from vineshift import bicopula, regress
 from vineshift.bicopula import EPS, GaussianCopula, IndependenceCopula, KernelCopula
+from vineshift.rvine import fit_vine
 from vineshift.statcore import rank_pseudo_observations
+from vineshift.synth import regression_task
 
 
 def gauss_legendre_integral(cop, order=200):
@@ -202,6 +208,15 @@ def _collocation(size: int) -> np.ndarray:
     return m
 
 
+def record_builds(monkeypatch) -> list:
+    """(copula, kind) of every table built from now on, in order."""
+    builds = []
+    node_values = bicopula._node_values
+    monkeypatch.setattr(bicopula, "_node_values",
+                        lambda c, kind: builds.append((c, kind)) or node_values(c, kind))
+    return builds
+
+
 class TestKernelCopulaEvaluation:
     """The exact sums, their tables, and what a query's value may depend on."""
 
@@ -289,11 +304,8 @@ class TestKernelCopulaEvaluation:
 
     def test_memo_holds_a_five_table_cycle(self, cop, monkeypatch):
         # row by row, a d=3 vine truncated at 2 reads five tables per row
-        builds = []
-        node_values = bicopula._node_values
-        monkeypatch.setattr(bicopula, "_node_values",
-                            lambda c, kind: builds.append(kind) or node_values(c, kind))
-        bicopula._spline_table.cache_clear()
+        builds = record_builds(monkeypatch)
+        bicopula._tables.clear()
         other = KernelCopula(cop.w_centers, cop.z_centers, cop.sigma_w, cop.sigma_z)
         reads = [(cop, m) for m in METHODS] + [(other, m) for m in METHODS[:2]]
         for _ in range(3):
@@ -338,6 +350,121 @@ class TestKernelCopulaEvaluation:
         assert a == a and a != b
         assert hash(a) == hash(a)
         assert a in [b, a] and b not in [a]
+
+
+class TestTableMemo:
+    """Tables are memoised within a byte budget and reused across walks of a vine."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(bicopula, "_tables", OrderedDict())
+
+    @pytest.fixture(scope="class")
+    def vine(self):
+        # the size of the shift-adapt benchmark's source vine: n=300, d=10,
+        # truncation 2, 17 kernel edges
+        rng = np.random.default_rng(31)
+        train, test = regression_task(300, rng), regression_task(100, rng)
+        model = fit_vine(train.X, truncation=2, variable_names=train.names,
+                         target_index=9, seed=31)
+        return model, test.X
+
+    def test_predict_then_score_builds_each_table_once(self, vine, monkeypatch):
+        model, X = vine
+        builds = record_builds(monkeypatch)
+        regress.predict_means(model, X[:, :-1], regress.default_grid(model, 33))
+        predicted = len(builds)
+        model.log_density(X)
+        assert 0 < predicted < len(builds)
+        assert len(set(builds)) == len(builds)
+
+    def test_a_budget_holding_one_walk_rebuilds_nothing(self, vine, monkeypatch):
+        # successive walks read the same tables in the same order, so a
+        # least-recently-used memo one byte short of them rebuilds them all
+        model, X = vine
+        monkeypatch.setattr(bicopula, "_MEMO_BYTES", 1 << 30)
+        model.log_density(X)
+        walk = len(bicopula._tables)
+        walk_bytes = sum(t.nbytes for t in bicopula._tables.values())
+        builds = record_builds(monkeypatch)
+        for budget, rebuilt in ((walk_bytes, 0), (walk_bytes - 1, walk)):
+            monkeypatch.setattr(bicopula, "_MEMO_BYTES", budget)
+            bicopula._tables.clear()
+            model.log_density(X)
+            builds.clear()
+            model.log_density(X)
+            assert len(builds) == rebuilt, budget
+
+    def test_memoised_value_equals_a_rebuilt_one(self):
+        cop, (u, v), _ = fitted(300, 32)
+        first = [getattr(cop, m)(u, v) for m in METHODS]
+        memoised = [getattr(cop, m)(u, v) for m in METHODS]
+        bicopula._tables.clear()
+        rebuilt = [getattr(cop, m)(u, v) for m in METHODS]
+        for a, b, c, m in zip(first, memoised, rebuilt, METHODS):
+            assert np.array_equal(a, b) and np.array_equal(a, c), m
+
+    def test_retained_bytes_stay_within_the_budget(self, monkeypatch):
+        cops = [fitted(60, seed)[0] for seed in range(33, 37)]
+        size = bicopula._spline_table(cops[0], "log_density").nbytes
+        monkeypatch.setattr(bicopula, "_MEMO_BYTES", int(2.5 * size))
+        bicopula._tables.clear()
+        builds = record_builds(monkeypatch)
+        for _ in range(2):
+            for cop in cops:
+                for m in METHODS:
+                    getattr(cop, m)(0.3, 0.6)
+                    kept = sum(t.nbytes for t in bicopula._tables.values())
+                    assert 0 < kept <= bicopula._MEMO_BYTES
+        # a cycle of 12 tables through a memo of about 2 rebuilds every one
+        assert len(builds) == 2 * len(cops) * len(METHODS)
+
+    def test_least_recently_read_table_is_dropped_first(self, monkeypatch):
+        # the three tables of one copula have the same size; two fit
+        cop = fitted(60, 38)[0]
+        size = bicopula._spline_table(cop, "log_density").nbytes
+        monkeypatch.setattr(bicopula, "_MEMO_BYTES", 2 * size)
+        for m in ("cdf_u_given_v", "log_density", "cdf_v_given_u"):
+            getattr(cop, m)(0.3, 0.6)
+        assert list(bicopula._tables) == [(cop, "log_density"), (cop, "cdf_v_given_u")]
+
+    def test_table_over_the_budget_is_still_returned(self, monkeypatch):
+        cop, (u, v), _ = fitted(60, 37)
+        expect = [getattr(cop, m)(u, v) for m in METHODS]
+        bicopula._tables.clear()
+        monkeypatch.setattr(bicopula, "_MEMO_BYTES", 1000)
+        builds = record_builds(monkeypatch)
+        for m, e in zip(METHODS, expect):
+            assert bicopula._spline_table(cop, m).nbytes > 1000
+            assert np.array_equal(getattr(cop, m)(u, v), e), m
+            assert not bicopula._tables
+        assert len(builds) == 2 * len(METHODS)
+
+    def test_threads_scoring_one_vine_agree(self, vine):
+        model, X = vine
+        expect = model.log_density(X)
+        bicopula._tables.clear()
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def score(i):
+            start.wait()
+            results[i] = model.log_density(X)
+
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert np.array_equal(got, expect)
+        assert sum(t.nbytes for t in bicopula._tables.values()) <= bicopula._MEMO_BYTES
 
 
 class TestGaussianCopula:

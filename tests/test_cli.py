@@ -228,6 +228,16 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_wrong_node_count_exits_2_with_one_line(self, workdir, tmp_path, capsys):
+        # tree 2 of the 5-variable model given 3 of its 4 nodes; its edges are intact
+        doc = modelfile.model_to_doc(modelfile.load(workdir / "model.json"))
+        doc["trees"][1]["nodes"] = doc["trees"][1]["nodes"][:3]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert run("predict", broken, workdir / "test.csv", "-o", tmp_path / "pred.csv") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "tree 2 has 3 nodes" in err
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("corrupt", ["nan_marginal_center", "inf_copula_center",

@@ -237,6 +237,15 @@ class TestValidation:
         with pytest.raises(ParseError, match=f"tree {level + 1} nodes"):
             model_from_doc(doc)
 
+    @pytest.mark.parametrize("level, count", [(0, 3), (1, 4), (2, 1)])
+    def test_wrong_node_count_blames_the_nodes(self, level, count):
+        # a 4-variable vine: tree 1 has 4 nodes, tree 2 has 3, tree 3 has 2
+        doc = self.make_doc()
+        doc["trees"][level]["nodes"] = (doc["trees"][level]["nodes"] * 2)[:count]
+        with pytest.raises(ParseError, match=f"tree {level + 1} has {count} nodes; tree "
+                                             f"{level + 1} of a 4-variable vine has {4 - level}"):
+            model_from_doc(doc)
+
     def test_deeper_nodes_follow_edge_order(self):
         doc = self.make_doc()
         nodes = doc["trees"][1]["nodes"]
