@@ -11,7 +11,9 @@ are then tested on pseudo-observations computed under each domain's
 post-adaptation marginals, so an already-corrected covariate shift does
 not masquerade as a dependence change. Deeper trees are not tested:
 their copulas are refit from the pooled rows, or copied verbatim when
-the mode forbids touching rows that involve the target variable.
+the mode forbids touching rows that involve the target variable. One
+walk reaches every pair copula, over one stack of pooled rows: each row
+with the target blanked, then the labeled rows (none if unsupervised).
 """
 
 from __future__ import annotations
@@ -192,12 +194,13 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         raise InsufficientDataError("no target rows provided")
     Xt = np.vstack(blocks)  # labeled rows first
 
-    if np.isnan(Xs).any():
+    if not np.isfinite(Xs).all():
         raise SchemaError("source rows contain non-finite values")
-    if np.isnan(np.delete(Xt, y, axis=1)).any():
+    if not np.isfinite(np.delete(Xt, y, axis=1)).all():
         raise SchemaError("target rows contain non-finite feature values")
-
     Xt_lab = Xt[:lab_rows]
+    if not np.isfinite(Xt_lab[:, y]).all():
+        raise SchemaError("labeled target rows contain non-finite target values")
     n_s, n_t = Xs.shape[0], Xt.shape[0]
 
     decisions: list[FactorDecision] = []
@@ -273,22 +276,22 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
 
     # -- walk the trees ------------------------------------------------------
     # A copy of the source trees whose copulas are refit as the walk
-    # reaches them. Two streams of copula arguments over the pooled rows,
-    # all rows (the target variable absent) and labeled rows (none in
-    # unsupervised mode), both carried through the copulas refit so far.
+    # reaches them. A y-edge is nan on the all-rows part of the stack and
+    # reads the labeled part; in unsupervised mode y is absent altogether.
     trees = [VineTree(level=t.level, nodes=list(t.nodes), edges=[replace(e) for e in t.edges])
              for t in source_vine.trees]
-    pool_all = base_samples(_ranks(np.vstack([Xs, Xt]), keep_y=False))
-    pool_lab = (dict.fromkeys((i, frozenset()) for i in range(d)) if unsup
-                else base_samples(_ranks(np.vstack([Xs, Xt_lab]), keep_y=True)))
-    for (edge, a1, a2), (_, b1, b2) in zip(walk(trees, pool_all), walk(trees, pool_lab)):
+    pooled = [_ranks(np.vstack([Xs, Xt]), keep_y=False)]
+    if not unsup:
+        pooled.append(_ranks(np.vstack([Xs, Xt_lab]), keep_y=True))
+    for edge, s1, s2 in walk(trees, base_samples(np.vstack(pooled))):
         j, k = edge.conditioned
         uses_y = y in edge.constraint
         fid = f"edge({edge.label()})"
         if uses_y and unsup:
             copied.append(fid)
             continue
-        rows = (b1, b2) if uses_y else (a1, a2)
+        part = slice(n_s + n_t, None) if uses_y else slice(n_s + n_t)
+        rows = s1[part], s2[part]
         if not edge.conditioning:  # deeper trees are refit from pooled rows, untested
             tgt = U_tgt[:lab_rows] if uses_y else U_tgt
             if refit_target_only(fid, U_src[:, [j, k]], tgt[:, [j, k]]):

@@ -53,6 +53,8 @@ def _as_matrix(sample) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError("samples must be 1-d or 2-d arrays")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must not contain nan or inf")
     return arr
 
 

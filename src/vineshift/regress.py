@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import DegenerateDataError, SchemaError
-from .rvine import VineModel, walk
+from .rvine import VineModel
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,12 @@ def conditional_density_batch(vine: VineModel, X_feat, grid: YGrid) -> np.ndarra
     if Xf.shape[1] != len(feats):
         raise ValueError(f"expected {len(feats)} feature columns, got {Xf.shape[1]}")
 
-    # Features as (m, 1) columns, the grid as a (1, g) row: an edge whose
-    # arguments involve the target runs on the (m, g) cross product, and
-    # feature-only h-functions run on m rows.
-    F = {(i, frozenset()): vine.marginals[i].cdf(x)[:, None] for i, x in zip(feats, Xf.T)}
-    F[y, frozenset()] = vine.marginals[y].cdf(grid.points)[None, :]
-    logd = vine.marginals[y].logpdf(grid.points)[None, :]
-    for edge, s1, s2 in walk(vine.trees, F):
-        if y in edge.constraint:
-            logd = logd + edge.copula.log_density(s1, s2)
+    # The vine's sum of the log factors over y, with the features as (m, 1)
+    # columns and the grid as a (1, g) row: a factor over y runs on the
+    # (m, g) cross product, and feature-only h-functions run on m rows.
+    columns = [x[:, None] for x in Xf.T]
+    columns.insert(y, grid.points[None, :])
+    logd = vine._log_factors(columns, involving=y)
 
     logd -= logd.max(axis=1, keepdims=True)
     dens = np.exp(logd)

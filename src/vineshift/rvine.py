@@ -30,8 +30,8 @@ joining nodes N_p and N_q weighs (a, D) against (b, D), where
 weighed together, by kendall_tau on blocks of stacked rows. The walker
 yields the edge with its arguments first and computes its h-values
 only when resumed, with the copula the edge holds by then, so a caller
-fits the copula in between by setting edge.copula (fit_vine on the
-trees it grows, adapt_vine on a copy of the source trees); it writes
+fits the copula in between by setting edge.copula (fit_vine tree by
+tree, adapt_vine on a copy of the source trees); it writes
 (j, D | {k}) and (k, D | {j}), and only the keys a later tree reads (a
 fit: only those a candidate edge of the next tree reads). Once a tree
 is done nothing reads its arguments again, and they are dropped.
@@ -203,18 +203,17 @@ def build_next_tree(prev: VineTree, F: dict) -> VineTree:
 
 
 def walk(trees, F: dict, reads=None):
-    """Yield (edge, s1, s2) for every edge of trees, tree by tree.
+    """Yield (edge, s1, s2) for every edge of the sequence trees, tree by tree.
 
     F maps (v, frozenset()) to the sample of variable v's cdf, or to
     None for a variable absent from the data; any edge whose arguments
     involve an absent variable yields (edge, None, None). Samples may be
     any arrays that broadcast against each other; h-values take the
-    broadcast shape. On resumption after an edge, its h-values are
-    computed with edge.copula as it stands then, so the caller may set
-    it in between, and stored in F for the keys for which reads(key) is
-    true (default: the keys read by trees[1:], which must then be a
-    sequence). F is updated in place, so trees may be produced lazily
-    from it.
+    broadcast shape, and a nan argument gives nan in its place only. On
+    resumption after an edge, its h-values are computed with edge.copula
+    as it stands then, so the caller may set it in between, and stored
+    in F, which is updated in place, for the keys for which reads(key) is
+    true (default: the keys read by trees[1:]).
     """
     if reads is None:
         reads = {(v, e.conditioning) for t in trees[1:] for e in t.edges
@@ -244,9 +243,10 @@ def walk(trees, F: dict, reads=None):
 def base_samples(U: np.ndarray) -> dict:
     """walk's F for an (n, d) matrix of pseudo-observations.
 
-    A column holding any nan marks its variable absent.
+    A column that is all nan marks its variable absent, and edges over
+    it cost nothing; a partly nan column is a sample like any other.
     """
-    return {(i, frozenset()): None if np.isnan(col).any() else col
+    return {(i, frozenset()): None if np.isnan(col).all() else col
             for i, col in enumerate(U.T)}
 
 
@@ -278,14 +278,24 @@ class VineModel:
         rows = np.atleast_2d(arr)
         if rows.shape[1] != self.dim:
             raise ValueError(f"expected {self.dim} columns, got {rows.shape[1]}")
-        logp = np.zeros(rows.shape[0])
-        F = {}
-        for i, marg in enumerate(self.marginals):
-            logp += marg.logpdf(rows[:, i])
-            F[i, frozenset()] = marg.cdf(rows[:, i])
-        for edge, s1, s2 in walk(self.trees, F):
-            logp += edge.copula.log_density(s1, s2)
+        logp = self._log_factors(rows.T)
         return float(logp[0]) if scalar else logp
+
+    def _log_factors(self, columns, involving: int | None = None) -> np.ndarray:
+        """Log marginals by index, then log pair copulas in walk order, summed.
+
+        columns holds one array per variable, all broadcasting together.
+        involving=v keeps v's marginal and the copulas whose constraint holds v.
+        """
+        logp, F = 0.0, {}
+        for i, (marg, x) in enumerate(zip(self.marginals, columns)):
+            if involving in (None, i):
+                logp = logp + marg.logpdf(x)
+            F[i, frozenset()] = marg.cdf(x)
+        for edge, s1, s2 in walk(self.trees, F):
+            if involving is None or involving in edge.constraint:
+                logp = logp + edge.copula.log_density(s1, s2)
+        return logp
 
     def conditional_cdf(self, var: int, value: float, conditioning: dict | None = None) -> float:
         """P(X_var <= value | X_s = x_s for every s in conditioning).
@@ -339,38 +349,32 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
     if len(names) != d:
         raise ValueError("variable_names length must match column count")
     for i in range(d):
+        if not np.isfinite(X[:, i]).all():
+            raise ValueError(f"column '{names[i]}' has non-finite values")
         if np.all(X[:, i] == X[0, i]):
             raise DegenerateDataError(f"column '{names[i]}' has zero variance")
 
     marginals = [GaussianKernel1D.fit(X[:, i]) for i in range(d)]
     U = np.column_stack([rank_pseudo_observations(X[:, i]) for i in range(d)])
 
-    levels = min(truncation, d - 1)
-    trees = []
-    # conditional-cdf samples feed the next tree's tau matrix and nothing
-    # else; each costs O(n^2) for a kernel copula. Edge (j, k | D) writes
+    # Tree by tree: fit a tree's copulas, then build the next tree from
+    # the conditional samples its walk left in F. Those feed the next
+    # tree's tau matrix and nothing else; each costs O(n^2) for a kernel
+    # copula. Edge (j, k | D) writes
     # (j, D | {k}), which a candidate of the next tree reads exactly when
     # the node D | {k} joins two or more edges of its tree. So the fit
     # writes only keys conditioned on such nodes, and none at the last
     # fitted level.
-    shared = set()
-
-    def grow():
-        # each tree is built from the conditional samples of the one before
-        tree = build_first_tree(U)
-        while True:
-            trees.append(tree)
-            if len(trees) < levels:
-                degree = Counter(i for e in tree.edges for i in e.node_pair)
-                shared.update(tree.nodes[i] for i, k in degree.items() if k >= 2)
-            yield tree
-            if len(trees) == levels:
-                return
-            tree = build_next_tree(tree, F)
-
+    levels = min(truncation, d - 1)
     F = base_samples(U)
-    for edge, s1, s2 in walk(grow(), F, reads=lambda key: key[1] in shared):
-        edge.copula = COPULA_FAMILIES[family].fit(s1, s2)
+    trees = []
+    for level in range(1, levels + 1):
+        tree = build_first_tree(U) if level == 1 else build_next_tree(trees[-1], F)
+        trees.append(tree)
+        degree = Counter(i for e in tree.edges for i in e.node_pair)
+        shared = {tree.nodes[i] for i, k in degree.items() if k >= 2 and level < levels}
+        for edge, s1, s2 in walk([tree], F, reads=lambda key: key[1] in shared):
+            edge.copula = COPULA_FAMILIES[family].fit(s1, s2)
 
     return VineModel(marginals=marginals, trees=trees, variable_names=names,
                      target_index=target_index,

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vineshift import adapt
 from vineshift.adapt import (MIN_REFIT, MIN_TEST, AdaptationInput,
                              AdaptationReport, FactorDecision, adapt_vine,
                              factor_samples)
@@ -309,6 +311,52 @@ class TestInputValidation:
             adapt_vine(self.model, AdaptationInput(
                 source=self.src, target_labeled=self.tgt,
                 target_unlabeled=None, target_index=7, mode="supervised"))
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, message", [
+        ("source", "source rows"), ("target feature", "non-finite feature values"),
+        ("target y", "non-finite target values")])
+    def test_non_finite_cells_are_schema_errors(self, value, where, message):
+        src, tgt = self.src.X.copy(), self.tgt.X.copy()
+        if where == "source":
+            src[5, 0] = value
+        else:
+            tgt[5, 0 if where == "target feature" else 2] = value
+        for mode in ("supervised", "semi_supervised"):
+            inp = AdaptationInput(source=Dataset(self.src.names, src),
+                                  target_labeled=Dataset(self.tgt.names, tgt),
+                                  target_unlabeled=None, target_index=2, mode=mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SchemaError, match=message):
+                    adapt_vine(self.model, inp)
+
+    def test_unsupervised_ignores_a_non_finite_label(self):
+        # unsupervised mode blanks the labels on ingest and never reads them
+        tgt = self.tgt.X.copy()
+        tgt[5, 2] = np.nan
+        _, report = adapt_vine(self.model, AdaptationInput(
+            source=self.src, target_labeled=Dataset(self.tgt.names, tgt),
+            target_unlabeled=None, target_index=2, mode="unsupervised",
+            mmd_config=MmdConfig(permutations=50, seed=0)))
+        assert report.copied_factors == ["marginal(2)", "edge(1,2)"]
+
+
+class TestOneWalk:
+    """adapt_vine walks the copied trees once, over all pooled rows."""
+
+    @pytest.mark.parametrize("mode", ["supervised", "semi_supervised", "unsupervised"])
+    def test_walks_once(self, mode, monkeypatch):
+        rng = np.random.default_rng(16)
+        src, tgt = marginal_shift_pair(150, 4, 0.6, rng, shift_col=0, shift=2.0)
+        walked, calls = adapt.walk, []
+        monkeypatch.setattr(adapt, "walk", lambda *a, **k: calls.append(1) or walked(*a, **k))
+        adapt_vine(fit_source(src, truncation=3, target_index=3), AdaptationInput(
+            source=src, target_labeled=Dataset(src.names, tgt.X[:40]),
+            target_unlabeled=Dataset(src.names[:3], tgt.X[40:, :3]), target_index=3,
+            mode=mode, mmd_config=MmdConfig(permutations=50, seed=16)))
+        assert len(calls) == 1
 
 
 class TestReportConsistency:

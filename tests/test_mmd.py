@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vineshift import cli
+from vineshift.dataio import Dataset
 from vineshift.errors import InsufficientDataError
 from vineshift.mmd import (MmdConfig, median_heuristic, mmd_statistic,
                            permutation_test)
@@ -232,3 +234,51 @@ class TestOneDistanceMatrix:
             cfg = MmdConfig(permutations=int(rng.integers(50, 120)), seed=case)
             res = permutation_test(X, Y, cfg)
             assert (res.statistic, res.p_value) == two_matrix_test(X, Y, cfg), (case, kind)
+
+
+class TestNonFiniteSamples:
+    """A nan or inf cell is refused, never read as a shift."""
+
+    @staticmethod
+    def poisoned(value, side):
+        rng = np.random.default_rng(60)
+        X, Y = rng.standard_normal((30, 2)), rng.standard_normal((25, 2))
+        (X if side == "X" else Y)[7, 1] = value
+        return X, Y
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_permutation_test_refuses(self, value, side):
+        X, Y = self.poisoned(value, side)
+        with pytest.raises(ValueError, match="nan or inf"):
+            permutation_test(X, Y, MmdConfig(permutations=50, seed=0))
+
+    @pytest.mark.parametrize("side", ["X", "Y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_statistic_and_median_heuristic_refuse(self, value, side):
+        X, Y = self.poisoned(value, side)
+        with pytest.raises(ValueError, match="nan or inf"):
+            mmd_statistic(X, Y, 1.0)
+        with pytest.raises(ValueError, match="nan or inf"):
+            median_heuristic(X, Y)
+
+    def test_refused_past_the_subsampled_heuristic(self):
+        # more pooled rows than the heuristic reads: the nan row is one it skips
+        rng = np.random.default_rng(61)
+        X, Y = rng.standard_normal((700, 1)), rng.standard_normal((700, 1))
+        X[3, 0] = np.nan
+        with pytest.raises(ValueError, match="nan or inf"):
+            median_heuristic(X, Y)
+        with pytest.raises(ValueError, match="nan or inf"):
+            permutation_test(X, Y, MmdConfig(permutations=50, seed=0))
+
+    def test_cli_exits_3_with_one_line(self, monkeypatch, capsys):
+        # the CSV reader refuses nan itself; a sample that reaches the test
+        # some other way exits as invalid data, not as a rejection
+        X, Y = self.poisoned(np.nan, "Y")
+        samples = iter([Dataset(["a", "b"], X), Dataset(["a", "b"], Y)])
+        monkeypatch.setattr(cli, "read_csv", lambda path: next(samples))
+        assert cli.main(["mmd-test", "a.csv", "b.csv", "--permutations", "50"]) == 3
+        out, err = capsys.readouterr()
+        assert "verdict" not in out
+        assert err.count("error:") == 1 and "nan or inf" in err

@@ -296,6 +296,13 @@ class TestFitVine:
         with pytest.raises(DegenerateDataError):
             fit_vine(X)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_names_its_column(self, value):
+        X = np.random.default_rng(28).standard_normal((50, 3))
+        X[17, 1] = value
+        with pytest.raises(ValueError, match="column 'b' has non-finite values"):
+            fit_vine(X, variable_names=["a", "b", "c"])
+
     def test_two_dim_density_integrates_to_one(self):
         rng = np.random.default_rng(29)
         z = rng.standard_normal((150, 2))
@@ -523,6 +530,30 @@ class TestWalk:
             else:
                 assert s1 is not None
                 assert np.all(np.isfinite(s1))
+
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_partly_nan_column_poisons_only_its_rows(self, family):
+        # a column with some nan rows is a sample, not an absent variable:
+        # the edges over it are nan on exactly those rows, and every other
+        # row is bit-equal to a walk without the nan rows
+        rng = np.random.default_rng(47)
+        ds = gaussian_copula_chain(150, 5, rho=0.6, rng=rng)
+        model = fit_vine(ds.X, truncation=3, family=family)
+        U = np.column_stack([rank_pseudo_observations(ds.X[:, i]) for i in range(5)])
+        poisoned, rows = 2, np.zeros(150, dtype=bool)
+        rows[[0, 41, 42, 149]] = True
+        P = U.copy()
+        P[rows, poisoned] = np.nan
+        walked = list(walk(model.trees, base_samples(P)))
+        reference = list(walk(model.trees, base_samples(U[~rows])))
+        assert len(walked) == len(reference) == 4 + 3 + 2
+        for (edge, s1, s2), (_, r1, r2) in zip(walked, reference):
+            nan_rows = np.isnan(s1) | np.isnan(s2)
+            assert np.array_equal(nan_rows, rows if poisoned in edge.constraint
+                                  else np.zeros(150, dtype=bool))
+            assert np.array_equal(s1[~rows], r1) and np.array_equal(s2[~rows], r2)
+            assert np.array_equal(edge.copula.log_density(s1, s2)[~rows],
+                                  edge.copula.log_density(r1, r2))
 
     def test_copula_substitution(self):
         # replacing a T1 copula changes the samples fed to its children

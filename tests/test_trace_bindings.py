@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vineshift import adapt, rvine
+from vineshift import adapt, regress, rvine
 from vineshift.dataio import Dataset
 from vineshift.mmd import MmdConfig
 from vineshift.synth import marginal_shift_pair
@@ -62,3 +62,28 @@ def test_adapt_runs_one_traced_mmd_test_per_tested_factor():
     assert tracer.counts["adapt.adapt_vine.calls"] == 1
     assert tracer.counts["mmd.permutation_test.calls"] == tested
     assert tracer.children("adapt.adapt_vine", "mmd.permutation_test") == tested
+
+
+def test_predict_and_score_keep_their_spans_and_marginal_work():
+    # the benchmark's per-layer numbers read the copula densities under
+    # the two traced entry points, and count one kernel1d call per
+    # marginal cdf plus one logpdf per marginal that enters the sum
+    spans = load_spans()
+    src, test = marginal_shift_pair(80, 4, 0.6, np.random.default_rng(2), shift_col=0, shift=0.0)
+    vine = rvine.fit_vine(src.X, truncation=2, variable_names=src.names, target_index=3)
+    grid = regress.YGrid(np.linspace(-3.0, 3.0, 40))
+    m, g, n, d = 7, 40, 80, 4
+    edges = [e for t in vine.trees for e in t.edges]
+    with spans.installed(spans.Tracer("bindings")) as tracer:
+        regress.predict_means(vine, test.X[:m, :3], grid)
+    assert tracer.counts["regress.conditional_density_batch.calls"] == 1
+    assert tracer.children("regress.conditional_density_batch", "bicopula.log_density") == \
+        sum(3 in e.constraint for e in edges)
+    assert tracer.counts["statcore.kernel1d.calls"] == d + 1
+    assert tracer.counts["statcore.kernel1d.kernel_evals"] == (3 * m + 2 * g) * n
+    with spans.installed(spans.Tracer("bindings")) as tracer:
+        vine.log_density(test.X[:m])
+    assert tracer.counts["rvine.log_density.calls"] == 1
+    assert tracer.children("rvine.log_density", "bicopula.log_density") == len(edges)
+    assert tracer.counts["statcore.kernel1d.calls"] == 2 * d
+    assert tracer.counts["statcore.kernel1d.kernel_evals"] == 2 * d * m * n
