@@ -1,18 +1,27 @@
 """Versioned JSON persistence for fitted vine models.
 
-The document is deterministic: keys are sorted, floats carry Python's
-shortest round-trip repr, and the creation timestamp is preserved on
-every subsequent save, so save -> load -> save is byte-identical. A
-fresh model is stamped from SOURCE_DATE_EPOCH when set and 0 otherwise;
+The document is deterministic: keys are sorted, each float array (a
+marginal's centers, a kernel copula's z_centers and w_centers) is one
+base64 string (RFC 4648) of its little-endian IEEE-754 binary64 bytes,
+so its bits survive by construction, scalars carry Python's shortest
+round-trip repr, and the creation timestamp is preserved on every
+subsequent save, so save -> load -> save is byte-identical. A stored
+array decodes as np.frombuffer(base64.b64decode(s), "<f8"). A fresh
+model is stamped from SOURCE_DATE_EPOCH when set and 0 otherwise;
 wall-clock time would break the rule that equal seeds produce equal
 files. Kernel models store their support points, so size is O(n d).
 Every model is written in the units of its data, with a null
 "normalization"; a file that carries a normalization block loads with
 it folded into the marginals.
+
+Format version 1 wrote each float array as a JSON list of numbers. It
+is still read, and its first re-save is version 2. A non-finite value
+is refused by save and by load alike.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -25,18 +34,46 @@ from .rvine import VineEdge, VineModel, VineTree
 from .statcore import GaussianKernel1D
 
 FORMAT = "vineshift-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Version 1 stored float arrays as JSON lists; version 2 as base64 strings.
+ARRAY_FORM = {1: list, 2: str}
 
 
-def _floats(a) -> list:
-    return [float(x) for x in np.asarray(a, dtype=float).ravel()]
+def _encode(a, what: str) -> str:
+    """A float array as base64 of its little-endian binary64 bytes."""
+    arr = np.asarray(a, dtype="<f8").ravel()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"cannot save {what}: it holds a non-finite value")
+    return base64.b64encode(arr.tobytes()).decode("ascii")
 
 
-def _copula_doc(cop) -> dict:
+def _decode(value, version: int, what: str) -> np.ndarray:
+    """A stored float array, in the form its file's format_version uses."""
+    form = ARRAY_FORM[version]
+    if not isinstance(value, form):
+        stored = "a list of numbers" if form is list else "a base64 string"
+        raise ParseError(f"{what}: a format_version {version} file stores each float "
+                         f"array as {stored}, not a {type(value).__name__}")
+    if form is list:
+        arr = np.asarray(value, dtype=float)
+    else:
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or text that is not ASCII
+            raise ParseError(f"{what}: not base64 ({exc})") from None
+        if len(raw) % 8:
+            raise ParseError(f"{what}: {len(raw)} bytes is not a whole number of float64s")
+        arr = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what}: non-finite number in model file")
+    return arr
+
+
+def _copula_doc(cop, label: str) -> dict:
     if isinstance(cop, KernelCopula):
         return {"family": "kernel",
-                "z_centers": _floats(cop.z_centers),
-                "w_centers": _floats(cop.w_centers),
+                "z_centers": _encode(cop.z_centers, f"edge {label} z_centers"),
+                "w_centers": _encode(cop.w_centers, f"edge {label} w_centers"),
                 "sigma_z": float(cop.sigma_z),
                 "sigma_w": float(cop.sigma_w),
                 "gamma": 0.0}
@@ -47,14 +84,14 @@ def _copula_doc(cop) -> dict:
     raise TypeError(f"cannot serialize copula of type {type(cop).__name__}")
 
 
-def _copula_from(doc: dict):
+def _copula_from(doc: dict, version: int, where: str):
     fam = doc.get("family")
     if fam == "kernel":
         # the bandwidth matrix is diagonal; the key stays for re-saves
         if float(doc["gamma"]) != 0.0:
             raise ParseError(f"kernel copula gamma must be 0, got {doc['gamma']!r}")
-        return KernelCopula(np.asarray(doc["z_centers"], dtype=float),
-                            np.asarray(doc["w_centers"], dtype=float),
+        return KernelCopula(_decode(doc["z_centers"], version, f"{where} z_centers"),
+                            _decode(doc["w_centers"], version, f"{where} w_centers"),
                             float(doc["sigma_z"]), float(doc["sigma_w"]))
     if fam == "gaussian":
         return GaussianCopula(float(doc["rho"]))
@@ -77,8 +114,9 @@ def model_to_doc(model: VineModel) -> dict:
         # always null; the key keeps re-saves of earlier raw fits byte-identical
         "normalization": None,
         "fit_metadata": meta,
-        "marginals": [{"centers": _floats(m.centers), "bandwidth": float(m.bandwidth)}
-                      for m in model.marginals],
+        "marginals": [{"centers": _encode(m.centers, f"marginal {name!r} centers"),
+                       "bandwidth": float(m.bandwidth)}
+                      for name, m in zip(model.variable_names, model.marginals)],
         "trees": [
             {"level": int(t.level),
              "nodes": [sorted(int(v) for v in node) for node in t.nodes],
@@ -86,7 +124,7 @@ def model_to_doc(model: VineModel) -> dict:
                         "conditioning": sorted(int(v) for v in e.conditioning),
                         "node_pair": [int(v) for v in e.node_pair],
                         "weight": float(e.weight),
-                        "copula": _copula_doc(e.copula)}
+                        "copula": _copula_doc(e.copula, e.label())}
                        for e in t.edges]}
             for t in model.trees],
     }
@@ -153,14 +191,15 @@ def _fold_normalization(marginals: list, mean: np.ndarray, std: np.ndarray) -> l
 def model_from_doc(doc) -> VineModel:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError("not a vineshift model file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if version not in ARRAY_FORM:
+        raise ParseError(f"unsupported format_version {version!r}")
     try:
         names = [str(s) for s in doc["variable_names"]]
         d = len(names)
-        marginals = [GaussianKernel1D(np.asarray(m["centers"], dtype=float),
+        marginals = [GaussianKernel1D(_decode(m["centers"], version, f"marginal {i} centers"),
                                       float(m["bandwidth"]))
-                     for m in doc["marginals"]]
+                     for i, m in enumerate(doc["marginals"])]
         trees = []
         for lvl, t in enumerate(doc["trees"], start=1):
             if lvl < d and len(t["nodes"]) != d - lvl + 1:
@@ -169,9 +208,10 @@ def model_from_doc(doc) -> VineModel:
             edges = [VineEdge(conditioned=tuple(e["conditioned"]),
                               conditioning=frozenset(e["conditioning"]),
                               node_pair=tuple(int(i) for i in e["node_pair"]),
-                              copula=_copula_from(e["copula"]),
+                              copula=_copula_from(e["copula"], version,
+                                                  f"tree {lvl} edge {j}"),
                               weight=float(e["weight"]))
-                     for e in t["edges"]]
+                     for j, e in enumerate(t["edges"])]
             trees.append(VineTree(level=int(t["level"]),
                                   nodes=[frozenset(v) for v in t["nodes"]],
                                   edges=edges))
@@ -204,7 +244,8 @@ def model_from_doc(doc) -> VineModel:
 
 
 def save(model: VineModel, path) -> None:
-    text = json.dumps(model_to_doc(model), sort_keys=True, indent=2) + "\n"
+    """Write model to path; a model holding a nan or inf is refused with a ValueError."""
+    text = json.dumps(model_to_doc(model), sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

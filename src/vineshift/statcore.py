@@ -114,7 +114,8 @@ def silverman_bandwidth(sample, dim: int = 1) -> float:
         raise InsufficientDataError("silverman_bandwidth needs at least 2 points")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    sigma = float(np.std(arr, ddof=1))
+    with np.errstate(over="ignore"):  # an overflowing spread is inf, refused by the caller
+        sigma = float(np.std(arr, ddof=1))
     if sigma == 0.0:
         raise DegenerateDataError("zero-variance sample has no usable bandwidth")
     return sigma * (4.0 / (dim + 2.0)) ** (1.0 / (dim + 4.0)) * n ** (-1.0 / (dim + 4.0))
@@ -137,8 +138,8 @@ class GaussianKernel1D:
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float).ravel())
         if self.centers.size == 0:
             raise ValueError("centers must be non-empty")
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {float(self.bandwidth)}")
 
     @classmethod
     def fit(cls, data) -> "GaussianKernel1D":

@@ -4,9 +4,11 @@ Everything runs in-process: main() is called with argv lists and its
 integer return value is checked against the documented exit codes.
 """
 
+import base64
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 from vineshift import cli, modelfile
 from vineshift.cli import main
 from vineshift.dataio import Dataset, read_csv, write_csv
+
+from model_docs import as_v1, b64, floats
 
 
 def run(*argv):
@@ -124,6 +128,19 @@ class TestFit:
                    "--truncation", 0) == 3
         err = capsys.readouterr().err
         assert err == "error: truncation must be >= 1\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_spread_exits_3_with_one_line(self, tmp_path, capsys):
+        # the standard deviation of values near 1e300 overflows, so the
+        # marginal bandwidth would be inf; no warning reaches stderr and no
+        # file the loader would refuse is written
+        X = np.random.default_rng(0).standard_normal((200, 4)) * 1e300
+        write_csv(tmp_path / "big.csv", Dataset(["a", "b", "c", "d"], X))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", tmp_path / "big.csv", "-o", tmp_path / "m.json") == 3
+        err = capsys.readouterr().err
+        assert err == "error: bandwidth must be positive and finite, got inf\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_unexpected_error_exits_5_with_one_line(self, workdir, tmp_path,
@@ -241,17 +258,37 @@ class TestPredictEval:
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     @pytest.mark.parametrize("corrupt", ["nan_marginal_center", "inf_copula_center",
+                                         "nan_v1_marginal_center", "bad_base64",
+                                         "partial_float", "unequal_copula_centers",
+                                         "list_in_v2", "string_in_v1",
                                          "three_conditioned", "one_conditioned"])
     def test_corrupt_model_file_exits_2_with_one_line(self, workdir, tmp_path, capsys,
                                                      command, corrupt):
-        # json reads NaN and Infinity as floats; an edge's conditioned
-        # list must name exactly two variables
+        # a stored float array must decode to whole, finite float64s in the
+        # form its format_version uses; an edge's conditioned list must name
+        # exactly two variables
         doc = modelfile.model_to_doc(modelfile.load(workdir / "model.json"))
         edge = doc["trees"][0]["edges"][0]
+        centers, z = floats(doc["marginals"][0]["centers"]), floats(edge["copula"]["z_centers"])
         if corrupt == "nan_marginal_center":
-            doc["marginals"][0]["centers"][0] = float("nan")
+            doc["marginals"][0]["centers"] = b64(np.r_[np.nan, centers[1:]])
         elif corrupt == "inf_copula_center":
-            edge["copula"]["z_centers"][0] = float("inf")
+            edge["copula"]["z_centers"] = b64(np.r_[np.inf, z[1:]])
+        elif corrupt == "nan_v1_marginal_center":
+            # json reads NaN as a float
+            doc = as_v1(doc)
+            doc["marginals"][0]["centers"][0] = float("nan")
+        elif corrupt == "bad_base64":
+            doc["marginals"][0]["centers"] = "*" + doc["marginals"][0]["centers"][1:]
+        elif corrupt == "partial_float":
+            edge["copula"]["z_centers"] = base64.b64encode(z.tobytes()[:-3]).decode("ascii")
+        elif corrupt == "unequal_copula_centers":
+            edge["copula"]["z_centers"] = b64(z[1:])
+        elif corrupt == "list_in_v2":
+            edge["copula"]["z_centers"] = z.tolist()
+        elif corrupt == "string_in_v1":
+            doc = as_v1(doc)
+            doc["marginals"][0]["centers"] = b64(centers)
         else:
             length = 3 if corrupt == "three_conditioned" else 1
             edge["conditioned"] = (edge["conditioned"] * 2)[:length]
@@ -434,7 +471,7 @@ class TestSourceRows:
             return
         # an earlier file stored marginals of z = (x - mean) / std and the
         # map; its rows come back as mean + std * z, as they always did
-        doc = json.loads(path.read_text())
+        doc = as_v1(json.loads(path.read_text()))
         mean, std = X.mean(axis=0), X.std(axis=0)
         Z = (X - mean) / std
         for i, marg in enumerate(doc["marginals"]):

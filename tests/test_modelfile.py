@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -11,12 +12,16 @@ from vineshift.modelfile import (FORMAT, FORMAT_VERSION, load, model_from_doc,
 from vineshift.rvine import fit_vine
 from vineshift.synth import gaussian_copula_chain
 
+from model_docs import as_v1, b64, floats
+
 # A normalized kernel fit (24 rows, 3 variables, truncation 2) saved by the
 # version-1 writer while kernel copulas still had an off-diagonal bandwidth
 # parameter and fits could z-score their columns: each copula carries
 # "gamma": 0.0, and the marginals are of z-scores, with the map stored as a
 # "normalization" block.
 EARLIER_FILE = Path(__file__).resolve().parent / "data" / "kernel_model_v1.json"
+# The first re-save of EARLIER_FILE: format version 2, normalization folded.
+V2_FILE = EARLIER_FILE.with_name("kernel_model_v2.json")
 
 
 def sample_model(seed=70, family="kernel", truncation=3, scale=1.0, shift=0.0):
@@ -74,6 +79,28 @@ class TestRoundTrip:
         save(load(first), second)
         assert json.loads(first.read_text())["normalization"] is None
         assert second.read_bytes() == first.read_bytes()
+
+    def test_earlier_file_resaves_as_the_v2_fixture(self, tmp_path):
+        path = tmp_path / "m.json"
+        save(load(EARLIER_FILE), path)
+        assert path.read_bytes() == V2_FILE.read_bytes()
+
+    def test_v2_fixture_is_a_fixed_point(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save(load(V2_FILE), first)
+        save(load(first), second)
+        assert first.read_bytes() == V2_FILE.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_v1_and_v2_documents_load_the_same_bits(self, family):
+        doc = model_to_doc(sample_model(family=family))
+        v1, v2 = model_from_doc(as_v1(doc)), model_from_doc(doc)
+        for a, b in zip(v1.marginals, v2.marginals):
+            assert np.array_equal(a.centers, b.centers)
+        pts = np.random.default_rng(75).standard_normal((50, 4))
+        assert np.array_equal(v1.log_density(pts), v2.log_density(pts))
+        # a version-1 document re-saves as version 2
+        assert model_to_doc(v1) == doc
 
     def test_same_fit_same_bytes(self, tmp_path):
         p1 = tmp_path / "a.json"
@@ -179,8 +206,9 @@ class TestValidation:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     @pytest.mark.parametrize("field", ["marginal_center", "copula_center"])
     def test_non_finite_number_rejected(self, tmp_path, token, field):
-        # json reads NaN, Infinity and overflowing literals as floats
-        doc = self.make_doc()
+        # json reads NaN, Infinity and overflowing literals as floats; a
+        # version-1 file holds its float arrays as such numbers
+        doc = as_v1(self.make_doc())
         if field == "marginal_center":
             doc["marginals"][0]["centers"][0] = 12345.5
         else:
@@ -189,6 +217,67 @@ class TestValidation:
         path.write_text(json.dumps(doc).replace("12345.5", token))
         with pytest.raises(ParseError, match="non-finite"):
             load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["marginal_center", "copula_center"])
+    def test_non_finite_array_rejected(self, tmp_path, value, field):
+        doc = self.make_doc()
+        holder, key = ((doc["marginals"][1], "centers") if field == "marginal_center"
+                       else (doc["trees"][1]["edges"][0]["copula"], "w_centers"))
+        values = floats(holder[key]).copy()
+        values[-1] = value
+        holder[key] = b64(values)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="non-finite"):
+            load(path)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("bad_character", "not base64"),
+        ("not_ascii", "not base64"),
+        ("cut_padding", "not base64"),
+        ("partial_float", "not a whole number of float64s"),
+        ("unequal_lengths", "equal length"),
+        ("list_in_v2", "base64 string, not a list"),
+        ("string_in_v1", "list of numbers, not a str")])
+    def test_malformed_array_rejected(self, tmp_path, corrupt, message):
+        doc = self.make_doc()
+        marg, cop = doc["marginals"][0], doc["trees"][0]["edges"][0]["copula"]
+        z = floats(cop["z_centers"])
+        if corrupt == "bad_character":
+            marg["centers"] = "!" + marg["centers"][1:]
+        elif corrupt == "not_ascii":
+            marg["centers"] = "\u00e9" + marg["centers"][1:]
+        elif corrupt == "cut_padding":
+            marg["centers"] = b64(floats(marg["centers"])[:1]).rstrip("=")
+        elif corrupt == "partial_float":
+            cop["z_centers"] = base64.b64encode(z.tobytes()[:-3]).decode("ascii")
+        elif corrupt == "unequal_lengths":
+            cop["z_centers"] = b64(z[:-1])
+        elif corrupt == "list_in_v2":
+            marg["centers"] = floats(marg["centers"]).tolist()
+        else:
+            doc = as_v1(doc)
+            doc["trees"][0]["edges"][0]["copula"]["z_centers"] = b64(z)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            load(path)
+
+    @pytest.mark.parametrize("field", ["marginal_center", "copula_center", "bandwidth"])
+    def test_save_refuses_non_finite_values(self, tmp_path, field):
+        # load would refuse the file, so save writes none
+        model = sample_model()
+        if field == "marginal_center":
+            model.marginals[2].centers[0] = np.nan
+        elif field == "copula_center":
+            model.trees[0].edges[1].copula.z_centers[3] = np.inf
+        else:
+            object.__setattr__(model.marginals[0], "bandwidth", np.nan)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            save(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("length", [1, 3])

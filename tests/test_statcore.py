@@ -150,8 +150,9 @@ class TestGaussianKernel1D:
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianKernel1D(centers=[], bandwidth=1.0)
-        with pytest.raises(ValueError):
-            GaussianKernel1D(centers=[1.0], bandwidth=0.0)
+        for h in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GaussianKernel1D(centers=[1.0], bandwidth=h)
 
     def test_equality_and_hash_are_by_identity(self):
         a, b = GaussianKernel1D.fit([0.1, 0.4, 0.9]), GaussianKernel1D.fit([0.1, 0.4, 0.9])
