@@ -16,11 +16,10 @@ from .errors import (DegenerateDataError, InsufficientDataError, ParseError,
 from .mmd import MmdConfig, TestResult, mmd_statistic, permutation_test
 from .modelfile import load, save
 from .regress import (RegressionMetrics, YGrid, conditional_density,
-                      conditional_density_batch, default_grid, evaluate,
-                      predict_mean, predict_means)
+                      conditional_density_batch, default_grid, evaluate, predict_means)
 from .rvine import VineModel, fit_vine
-from .statcore import (GaussianKernel1D, kendall_tau, pseudo_observations,
-                       rank_pseudo_observations, silverman_bandwidth)
+from .statcore import (GaussianKernel1D, kendall_tau, rank_pseudo_observations,
+                       silverman_bandwidth)
 
 __version__ = "0.1.0"
 
@@ -56,9 +55,7 @@ __all__ = [
     "load",
     "mmd_statistic",
     "permutation_test",
-    "predict_mean",
     "predict_means",
-    "pseudo_observations",
     "rank_pseudo_observations",
     "read_csv",
     "save",

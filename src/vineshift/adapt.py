@@ -128,32 +128,6 @@ def _factor_config(cfg: MmdConfig, factor_id: str) -> MmdConfig:
     return replace(cfg, seed=int(ss.generate_state(1)[0]))
 
 
-def factor_samples(vine: VineModel, data: Dataset, factor_id: str) -> np.ndarray:
-    """Comparison sample for one factor of the fitted vine.
-
-    A marginal factor yields the raw data column (n x 1); an edge factor
-    yields the n x 2 matrix of conditional cdf values obtained from the
-    vine's own marginals and h-functions.
-    """
-    X = _aligned(data, vine.variable_names)
-    if factor_id.startswith("marginal(") and factor_id.endswith(")"):
-        try:
-            i = int(factor_id[len("marginal("):-1])
-        except ValueError:
-            raise ValueError(f"factor not found: {factor_id!r}") from None
-        if not 0 <= i < vine.dim:
-            raise ValueError(f"factor not found: {factor_id!r}")
-        return X[:, [i]]
-    if factor_id.startswith("edge(") and factor_id.endswith(")"):
-        label = factor_id[len("edge("):-1]
-        U = np.column_stack([m.cdf(X[:, i]) for i, m in enumerate(vine.marginals)])
-        for edge, s1, s2 in walk(vine.trees, base_samples(U)):
-            if edge.label() == label:
-                return np.column_stack([s1, s2])
-        raise ValueError(f"factor not found: {factor_id!r}")
-    raise ValueError(f"factor not found: {factor_id!r}")
-
-
 def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     """Detect changed factors and rebuild the vine for the target task.
 
@@ -261,7 +235,7 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         U_src[:, i] = (source_vine.marginals[i] if f"marginal({i})" in changed
                        else m).cdf(Xs[:, i])
 
-    # -- rank pseudo-observations per refit row set -------------------------
+    # -- rank pseudo-observations of the pooled rows -------------------------
     def _ranks(X: np.ndarray, keep_y: bool) -> np.ndarray:
         U = np.full_like(X, np.nan)
         for i in range(d):
@@ -269,10 +243,6 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
                 continue
             U[:, i] = rank_pseudo_observations(X[:, i])
         return U
-
-    R_tgt_all = _ranks(Xt, keep_y=False) if n_t >= MIN_REFIT else None
-    R_tgt_lab = (_ranks(Xt_lab, keep_y=True)
-                 if not unsup and lab_rows >= MIN_REFIT else None)
 
     # -- walk the trees ------------------------------------------------------
     # A copy of the source trees whose copulas are refit as the walk
@@ -295,8 +265,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         if not edge.conditioning:  # deeper trees are refit from pooled rows, untested
             tgt = U_tgt[:lab_rows] if uses_y else U_tgt
             if refit_target_only(fid, U_src[:, [j, k]], tgt[:, [j, k]]):
-                R = R_tgt_lab if uses_y else R_tgt_all
-                rows = R[:, j], R[:, k]
+                T = Xt_lab if uses_y else Xt
+                rows = rank_pseudo_observations(T[:, j]), rank_pseudo_observations(T[:, k])
         edge.copula = type(edge.copula).fit(*rows)
 
     meta = dict(source_vine.fit_metadata)
@@ -319,5 +289,4 @@ __all__ = [
     "AdaptationReport",
     "FactorDecision",
     "adapt_vine",
-    "factor_samples",
 ]

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .statcore import (_check_open_unit, elementwise, kendall_tau, log_sum_exp,
-                       row_blocks, silverman_bandwidth)
+from .statcore import (_check_open_unit, _kernel_cdfs, _log_kernel, elementwise, kendall_tau,
+                       log_sum_exp, row_blocks, silverman_bandwidth)
 
 # Evaluation-time clamp for pseudo-observations touching 0 or 1.
 EPS = 1e-10
@@ -107,22 +107,6 @@ def _half_width(sigma: float) -> float:
 def _nodes(sigma: float) -> np.ndarray:
     k = int(_half_width(sigma))
     return (sigma / _NODES_PER_SIGMA) * np.arange(-k, k + 1)
-
-
-def _log_kernel(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    """-((x_i - c_k) / sigma)^2 / 2 as a fresh (x.size, centers.shape[-1]) array."""
-    t = x[:, None] - centers
-    t /= sigma
-    t *= t
-    t *= -0.5
-    return t
-
-
-def _kernel_cdfs(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    """Phi((x_i - c_k) / sigma) as a fresh (x.size, centers.size) array."""
-    t = x[:, None] - centers
-    t /= sigma
-    return ndtr(t, out=t)
 
 
 def _peak(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:

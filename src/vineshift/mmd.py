@@ -23,7 +23,6 @@ _MEDIAN_ROWS = 1000
 
 @dataclass(frozen=True)
 class MmdConfig:
-    kernel_bandwidth: float | str = "median-heuristic"
     permutations: int = 200
     alpha: float = 0.05
     seed: int = 0
@@ -33,11 +32,6 @@ class MmdConfig:
             raise ValueError("permutations must be >= 50")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if isinstance(self.kernel_bandwidth, str):
-            if self.kernel_bandwidth != "median-heuristic":
-                raise ValueError("kernel_bandwidth must be a positive number or 'median-heuristic'")
-        elif not self.kernel_bandwidth > 0.0:
-            raise ValueError("kernel_bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -147,10 +141,8 @@ def permutation_test(X, Y, config: MmdConfig) -> TestResult:
     n, m = Xa.shape[0], Ya.shape[0]
     N = n + m
     d2 = _sq_dists(np.vstack([Xa, Ya]))
-    bw = config.kernel_bandwidth
-    if isinstance(bw, str):
-        # median_heuristic's distances are d2's unless it subsamples
-        bw = _median_distance(d2) if N <= _MEDIAN_ROWS else median_heuristic(Xa, Ya)
+    # median_heuristic's distances are d2's unless it subsamples
+    bw = _median_distance(d2) if N <= _MEDIAN_ROWS else median_heuristic(Xa, Ya)
     K, r = _kernel_from(d2, bw)
     observed = _observed(K, r, n, m)
 

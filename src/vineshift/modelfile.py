@@ -184,8 +184,11 @@ def _fold_normalization(marginals: list, mean: np.ndarray, std: np.ndarray) -> l
         raise ParseError("normalization vectors do not match variable count")
     if not np.all(std > 0.0):
         raise ParseError("normalization std must be positive")
-    return [GaussianKernel1D(m + s * k.centers, s * k.bandwidth)
-            for m, s, k in zip(mean, std, marginals)]
+    with np.errstate(over="ignore"):
+        folded = [(m + s * k.centers, s * k.bandwidth) for m, s, k in zip(mean, std, marginals)]
+    if not all(np.isfinite(c).all() and np.isfinite(h) for c, h in folded):
+        raise ParseError("normalization overflows the marginal centres or bandwidths")
+    return [GaussianKernel1D(c, h) for c, h in folded]
 
 
 def model_from_doc(doc) -> VineModel:

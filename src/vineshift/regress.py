@@ -113,10 +113,6 @@ def _point_predictions(dens: np.ndarray, grid: YGrid, point: str) -> np.ndarray:
     raise ValueError("point must be 'mean' or 'median'")
 
 
-def predict_mean(vine: VineModel, x_feat, grid: YGrid | None = None) -> float:
-    return float(predict_means(vine, np.asarray(x_feat, dtype=float)[None, :], grid)[0])
-
-
 def nmse(predictions, truth) -> float:
     """Mean squared error over the population variance of the truth."""
     p = np.asarray(predictions, dtype=float).ravel()
@@ -163,7 +159,6 @@ __all__ = [
     "evaluate",
     "feature_indices",
     "nmse",
-    "predict_mean",
     "predict_means",
     "test_log_likelihood",
 ]

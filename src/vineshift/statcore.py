@@ -1,8 +1,9 @@
 """Scalar statistical primitives.
 
-Standard-normal special functions, one-dimensional Gaussian kernel
-density models with Silverman bandwidths, rank transforms, and an exact
-O(n log n) Kendall rank correlation. All of it is vectorised numpy:
+One-dimensional Gaussian kernel density models with Silverman
+bandwidths, the Gaussian kernel terms they share with the kernel
+copulas in bicopula, rank transforms, and an exact O(n log n)
+Kendall rank correlation. All of it is vectorised numpy:
 Kendall tau counts its discordant pairs as the inversions of a rank
 sequence, one rank bit per step, for one sample pair or for a whole
 (P, n) batch of row pairs in one bit loop, block by block; the kernel
@@ -18,7 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import DegenerateDataError, InsufficientDataError
 
@@ -81,23 +82,20 @@ def _check_open_unit(name: str, values: np.ndarray):
         raise ValueError(f"{name} must lie strictly in (0, 1)")
 
 
-@elementwise
-def std_normal_pdf(x):
-    """Standard Gaussian density exp(-x^2/2)/sqrt(2*pi)."""
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+def _log_kernel(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
+    """-((x_i - c_k) / sigma)^2 / 2 as a fresh (x.size, centers.shape[-1]) array."""
+    t = x[:, None] - centers
+    t /= sigma
+    t *= t
+    t *= -0.5
+    return t
 
 
-@elementwise
-def std_normal_cdf(x):
-    """Standard Gaussian cdf. Accepts +-inf, mapping to 1/0."""
-    return ndtr(x)
-
-
-@elementwise
-def std_normal_quantile(p):
-    """Inverse standard Gaussian cdf on the open interval (0, 1)."""
-    _check_open_unit("quantile argument", p)
-    return ndtri(p)
+def _kernel_cdfs(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
+    """Phi((x_i - c_k) / sigma) as a fresh (x.size, centers.size) array."""
+    t = x[:, None] - centers
+    t /= sigma
+    return ndtr(t, out=t)
 
 
 def silverman_bandwidth(sample, dim: int = 1) -> float:
@@ -147,36 +145,27 @@ class GaussianKernel1D:
         arr = np.asarray(data, dtype=float).ravel()
         return cls(arr, silverman_bandwidth(arr, dim=1))
 
-    def _std_resid(self, x: np.ndarray) -> np.ndarray:
-        t = x[..., None] - self.centers
-        t /= self.bandwidth
-        return t
-
-    def _row_sums(self, x: np.ndarray, row_sum) -> np.ndarray:
-        """row_sum of each point's standardised residuals, block by block."""
+    def _row_sums(self, x: np.ndarray, terms, row_sum) -> np.ndarray:
+        """row_sum of terms(points, centers, bandwidth), block by block."""
         out = np.empty(x.size)
         for blk in row_blocks(x.size, self.centers.size):
-            out[blk] = row_sum(self._std_resid(x[blk]))
+            out[blk] = row_sum(terms(x[blk], self.centers, self.bandwidth))
         return out
 
     @elementwise
     def pdf(self, x):
-        row_sums = self._row_sums(x, lambda t: np.exp(-0.5 * t * t).sum(axis=-1))
+        row_sums = self._row_sums(x, _log_kernel, lambda t: np.exp(t, out=t).sum(axis=-1))
         return row_sums / (self.centers.size * self.bandwidth * _SQRT_2PI)
 
     @elementwise
     def logpdf(self, x):
         """log pdf via the max-shift trick; finite for any finite x."""
-        def log_sum(t):
-            t *= t
-            t *= -0.5
-            return log_sum_exp(t)
-
-        return self._row_sums(x, log_sum) - np.log(self.centers.size * self.bandwidth * _SQRT_2PI)
+        return (self._row_sums(x, _log_kernel, log_sum_exp)
+                - np.log(self.centers.size * self.bandwidth * _SQRT_2PI))
 
     @elementwise
     def cdf(self, x):
-        return self._row_sums(x, lambda t: ndtr(t, out=t).sum(axis=-1)) / self.centers.size
+        return self._row_sums(x, _kernel_cdfs, lambda t: t.sum(axis=-1)) / self.centers.size
 
     @elementwise
     def quantile(self, p):
@@ -345,19 +334,6 @@ def kendall_tau(x, y) -> float | np.ndarray:
     return taus if xa.ndim == 2 else float(taus[0])
 
 
-def pseudo_observations(column) -> np.ndarray:
-    """Map a raw column through its own fitted kernel cdf.
-
-    Returns values strictly inside (0, 1). Raises DegenerateDataError
-    for zero-variance input.
-    """
-    arr = np.asarray(column, dtype=float).ravel()
-    if arr.size < 2:
-        raise InsufficientDataError("pseudo_observations needs at least 2 rows")
-    model = GaussianKernel1D.fit(arr)
-    return model.cdf(arr)
-
-
 def rank_pseudo_observations(column) -> np.ndarray:
     """Map a raw column to r_i/(n+1) with average ranks for ties.
 
@@ -385,10 +361,6 @@ __all__ = [
     "GaussianKernel1D",
     "kendall_tau",
     "log_sum_exp",
-    "pseudo_observations",
     "rank_pseudo_observations",
     "silverman_bandwidth",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
 ]

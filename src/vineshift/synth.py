@@ -19,6 +19,12 @@ from .errors import ParseError
 
 def _chain_normals(n: int, d: int, rho: float, rng,
                    flip_links=(), mix_weight: float | None = None) -> np.ndarray:
+    if d < 1:
+        raise ValueError(f"the chain needs at least one variable, got {d}")
+    if not abs(rho) <= 1.0:
+        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    if mix_weight is not None and not 0.0 <= mix_weight <= 1.0:
+        raise ValueError(f"mix_weight must lie in [0, 1], got {mix_weight}")
     Z = np.empty((n, d))
     Z[:, 0] = rng.standard_normal(n)
     noise_scale = np.sqrt(1.0 - rho * rho)
@@ -96,6 +102,10 @@ def regression_task(n: int, rng, d: int = 10, noise: float = 0.4,
     the copula scale; re-estimating just the flagged marginals repairs
     it without touching any pair copula.
     """
+    if d < 2:
+        raise ValueError(f"regression_task needs d >= 2 (a feature and the target), got {d}")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     k = d - 1
     X = _chain_normals(n, k, rho, rng)
     y = 2.0 * np.tanh(1.2 * X[:, 0]) + noise * rng.standard_normal(n)

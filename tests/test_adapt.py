@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 
 from vineshift import adapt
 from vineshift.adapt import (MIN_REFIT, MIN_TEST, AdaptationInput,
-                             AdaptationReport, FactorDecision, adapt_vine,
-                             factor_samples)
+                             AdaptationReport, FactorDecision, adapt_vine)
 from vineshift.bicopula import IndependenceCopula
 from vineshift.dataio import Dataset
 from vineshift.errors import InsufficientDataError, SchemaError
@@ -383,44 +382,6 @@ class TestReportConsistency:
         text = report.summary()
         for d in report.decisions:
             assert d.factor_id in text
-
-
-class TestFactorSamples:
-    def setup_method(self):
-        rng = np.random.default_rng(12)
-        self.ds = gaussian_copula_chain(150, 3, 0.7, rng)
-        self.model = fit_source(self.ds, truncation=2, target_index=None)
-
-    def test_marginal_factor_is_raw_column(self):
-        s = factor_samples(self.model, self.ds, "marginal(1)")
-        assert s.shape == (150, 1)
-        assert_allclose(s[:, 0], self.ds.X[:, 1])
-
-    def test_edge_factor_matches_h_functions(self):
-        label = self.model.trees[0].edges[0].label()
-        s = factor_samples(self.model, self.ds, f"edge({label})")
-        assert s.shape == (150, 2)
-        assert np.all((s > 0) & (s < 1))
-
-    def test_unknown_factor(self):
-        for fid in ("marginal(9)", "edge(7,8)", "bogus", "marginal(x)"):
-            with pytest.raises(ValueError):
-                factor_samples(self.model, self.ds, fid)
-
-    def test_edge_samples_invariant_to_other_columns(self):
-        # transforming a variable outside the edge's constraint set must
-        # not move that edge's samples
-        label = None
-        for e in self.model.trees[0].edges:
-            if e.constraint == frozenset({0, 1}):
-                label = e.label()
-        if label is None:
-            pytest.skip("chain fit chose a different first tree")
-        moved = Dataset(list(self.ds.names), self.ds.X.copy())
-        moved.X[:, 2] = moved.X[:, 2] * 3.0 + 5.0
-        a = factor_samples(self.model, self.ds, f"edge({label})")
-        b = factor_samples(self.model, moved, f"edge({label})")
-        assert_allclose(a, b, atol=1e-12)
 
 
 class TestModeEquivalences:

@@ -67,6 +67,30 @@ class TestGen:
         assert run("gen", "nope", "-o", tmp_path / "x.csv") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generator,flags,message", [
+        pytest.param("bimodal-copula-chain", ["--rho", 1.5],
+                     "rho must lie in [-1, 1], got 1.5", id="rho_above_1"),
+        pytest.param("gaussian-copula-chain", ["--rho", -1.01],
+                     "rho must lie in [-1, 1], got -1.01", id="rho_below_minus_1"),
+        pytest.param("gaussian-copula-chain", ["-d", 0],
+                     "the chain needs at least one variable, got 0", id="empty_chain"),
+        pytest.param("regression", ["-d", 1],
+                     "regression_task needs d >= 2 (a feature and the target), got 1",
+                     id="no_features"),
+        pytest.param("regression", ["--noise", "nan"],
+                     "noise must be finite and non-negative, got nan", id="nan_noise"),
+        pytest.param("bimodal-copula-chain", ["--mix-weight", 7],
+                     "mix_weight must lie in [0, 1], got 7.0", id="mix_weight_above_1"),
+    ])
+    def test_invalid_parameters_exit_3_with_one_line(self, tmp_path, capsys, generator,
+                                                     flags, message):
+        # a |rho| above 1 or a nan noise would write nan columns that
+        # read_csv refuses; an empty chain used to end in an IndexError
+        out = tmp_path / "g.csv"
+        assert run("gen", generator, "-o", out, "-n", 20, *flags) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_report_and_reproducibility(self, tmp_path, capsys):
@@ -299,12 +323,14 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("corrupt", ["zero_std", "negative_std", "nonzero_gamma"])
+    @pytest.mark.parametrize("corrupt", ["zero_std", "negative_std", "overflowing_std",
+                                         "nonzero_gamma"])
     def test_refused_model_values_exit_2_with_one_line(self, workdir, tmp_path, capsys,
                                                        corrupt):
         # an earlier file's normalization block is folded into the
-        # marginals, which a zero std would collapse; kernel copulas carry
-        # no off-diagonal bandwidth
+        # marginals, which a zero std would collapse and a huge one
+        # overflow to inf (refused with no warning on stderr); kernel
+        # copulas carry no off-diagonal bandwidth
         model_path = tmp_path / "m.json"
         assert run("fit", workdir / "train.csv", "-o", model_path) == 0
         doc = json.loads(model_path.read_text())
@@ -312,11 +338,13 @@ class TestPredictEval:
             doc["trees"][0]["edges"][0]["copula"]["gamma"] = 0.05
         else:
             d = len(doc["variable_names"])
-            std = [0.0 if corrupt == "zero_std" else -1.0] + [1.0] * (d - 1)
-            doc["normalization"] = {"mean": [0.0] * d, "std": std}
+            std = {"zero_std": 0.0, "negative_std": -1.0, "overflowing_std": 1e308}[corrupt]
+            doc["normalization"] = {"mean": [0.0] * d, "std": [std] + [1.0] * (d - 1)}
         model_path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run("eval", model_path, workdir / "test.csv", "--grid-points", 65) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", model_path, workdir / "test.csv", "--grid-points", 65) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "TLL" not in captured.out

@@ -1,7 +1,9 @@
 """Every name a vineshift module exports in __all__ exists.
 
 A stale entry left behind by a deletion would break
-`from vineshift.<module> import *` without failing any other test.
+`from vineshift.<module> import *` without failing any other test. The
+package's own public names are pinned, so adding or removing one is a
+visible change to this file.
 """
 
 import importlib
@@ -22,3 +24,20 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+PUBLIC = [
+    "AdaptationInput", "AdaptationReport", "Dataset", "DegenerateDataError",
+    "ExperimentConfig", "FactorDecision", "GaussianCopula", "GaussianKernel1D",
+    "IndependenceCopula", "InsufficientDataError", "KernelCopula", "MmdConfig",
+    "ParseError", "RegressionMetrics", "SchemaError", "StructureError", "TestResult",
+    "VineModel", "YGrid", "adapt_vine", "adaptation_experiment", "conditional_density",
+    "conditional_density_batch", "default_grid", "density_bench", "evaluate", "fit_vine",
+    "kendall_tau", "load", "mmd_statistic", "permutation_test", "predict_means",
+    "rank_pseudo_observations", "read_csv", "save", "silverman_bandwidth", "write_csv",
+]
+
+
+def test_package_public_names_are_pinned():
+    assert sorted(vineshift.__all__) == sorted(PUBLIC)
+    assert len(set(vineshift.__all__)) == len(vineshift.__all__) == 37

@@ -6,8 +6,7 @@ from vineshift.dataio import Dataset
 from vineshift.errors import DegenerateDataError, SchemaError
 from vineshift.regress import (RegressionMetrics, YGrid, conditional_density,
                                conditional_density_batch, default_grid,
-                               evaluate, feature_indices, nmse, predict_mean,
-                               predict_means)
+                               evaluate, feature_indices, nmse, predict_means)
 from vineshift.regress import test_log_likelihood as mean_log_density
 from vineshift.rvine import fit_vine
 from vineshift.synth import regression_task
@@ -143,13 +142,6 @@ class TestPrediction:
         mean = predict_means(model, xs, point="mean")[0]
         med = predict_means(model, xs, point="median")[0]
         assert abs(mean - med) < 0.1
-
-    def test_scalar_helper(self):
-        model, _ = linear_pair_model()
-        grid = default_grid(model)
-        assert_allclose(predict_mean(model, np.array([0.7]), grid),
-                        predict_means(model, np.array([[0.7]]), grid)[0],
-                        rtol=1e-12)
 
     def test_unknown_point_rule(self):
         model, _ = linear_pair_model()
