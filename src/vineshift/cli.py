@@ -197,6 +197,7 @@ def cmd_mmd_test(args) -> int:
     res = permutation_test(a.X, b.X, cfg)
     print(f"mmd^2 statistic: {res.statistic:.6g}")
     print(f"p-value:         {res.p_value:.6g}")
+    print(f"bandwidth:       {res.bandwidth:.6g}")
     print("verdict:         " + ("distributions differ" if res.rejected
                                  else "no significant difference"))
     return EXIT_REJECT if res.rejected else EXIT_OK

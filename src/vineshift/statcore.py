@@ -112,8 +112,11 @@ def silverman_bandwidth(sample, dim: int = 1) -> float:
         raise InsufficientDataError("silverman_bandwidth needs at least 2 points")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    with np.errstate(over="ignore"):  # an overflowing spread is inf, refused by the caller
-        sigma = float(np.std(arr, ddof=1))
+    # the std of arr * 2^-e, scaled back: the squares neither overflow nor
+    # underflow, and a power of two changes no bits in between
+    e = int(np.frexp(np.abs(arr).max())[1])
+    with np.errstate(over="ignore"):  # a spread past the float range is inf, refused by the caller
+        sigma = float(np.ldexp(np.std(np.ldexp(arr, -e), ddof=1), e))
     if sigma == 0.0:
         raise DegenerateDataError("zero-variance sample has no usable bandwidth")
     return sigma * (4.0 / (dim + 2.0)) ** (1.0 / (dim + 4.0)) * n ** (-1.0 / (dim + 4.0))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from vineshift import cli, modelfile
 from vineshift.cli import main
 from vineshift.dataio import Dataset, read_csv, write_csv
+from vineshift.mmd import MmdConfig, permutation_test
 
 from model_docs import as_v1, b64, floats
 
@@ -154,18 +155,19 @@ class TestFit:
         assert err == "error: truncation must be >= 1\n"
         assert not (tmp_path / "m.json").exists()
 
-    def test_overflowing_spread_exits_3_with_one_line(self, tmp_path, capsys):
-        # the standard deviation of values near 1e300 overflows, so the
-        # marginal bandwidth would be inf; no warning reaches stderr and no
-        # file the loader would refuse is written
+    def test_spread_near_the_float_limit_fits(self, tmp_path, capsys):
+        # the standard deviation of values near 1e300 is taken on the column
+        # scaled by a power of two, so it does not overflow: the fit writes
+        # finite bandwidths, with no warning, and the file loads and scores
         X = np.random.default_rng(0).standard_normal((200, 4)) * 1e300
         write_csv(tmp_path / "big.csv", Dataset(["a", "b", "c", "d"], X))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run("fit", tmp_path / "big.csv", "-o", tmp_path / "m.json") == 3
-        err = capsys.readouterr().err
-        assert err == "error: bandwidth must be positive and finite, got inf\n"
-        assert not (tmp_path / "m.json").exists()
+            assert run("fit", tmp_path / "big.csv", "-o", tmp_path / "m.json") == 0
+            model = modelfile.load(tmp_path / "m.json")
+            assert np.isfinite(model.log_density(X)).all()
+        assert capsys.readouterr().err == ""
+        assert all(np.isfinite(m.bandwidth) for m in model.marginals)
 
     def test_unexpected_error_exits_5_with_one_line(self, workdir, tmp_path,
                                                     capsys, monkeypatch):
@@ -450,6 +452,27 @@ class TestMmdTest:
         assert run("mmd-test", a, tmp_path / "b.csv",
                    "--permutations", 100, "--seed", 0) == 1
         assert "distributions differ" in capsys.readouterr().out
+
+    def test_reports_the_bandwidth(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run("gen", "gaussian-copula-chain", "-o", a, "-n", 60, "-d", 2, "--seed", 21)
+        run("gen", "gaussian-copula-chain", "-o", b, "-n", 60, "-d", 2, "--seed", 22)
+        capsys.readouterr()
+        run("mmd-test", a, b, "--permutations", 50, "--seed", 0)
+        bw = permutation_test(read_csv(a).X, read_csv(b).X,
+                              MmdConfig(permutations=50, seed=0)).bandwidth
+        assert f"bandwidth:       {bw:.6g}\n" in capsys.readouterr().out
+
+    def test_same_distribution_near_1e160_exits_0(self, tmp_path, capsys):
+        # squared distances of values near 1e160 overflow unless the rows are
+        # scaled first; a nan statistic would be read as a rejection
+        rng = np.random.default_rng(5)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(a, Dataset(["x", "y"], 1e160 * rng.standard_normal((80, 2))))
+        write_csv(b, Dataset(["x", "y"], 1e160 * rng.standard_normal((80, 2))))
+        assert run("mmd-test", a, b, "--permutations", 100, "--seed", 0) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and "no significant difference" in out
 
     def test_nan_cell_exits_2_without_verdict(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 from vineshift import cli
 from vineshift.dataio import Dataset
 from vineshift.errors import InsufficientDataError
-from vineshift.mmd import (MmdConfig, median_heuristic, mmd_statistic,
+from vineshift.mmd import (MmdConfig, _relabelings, median_heuristic, mmd_statistic,
                            permutation_test)
 
 
@@ -156,19 +158,29 @@ class TestPermutationTest:
             MmdConfig(alpha=0.0)
 
 
+def unscaled_distances(Z):
+    """Clipped squared distances of the centred rows, in data units."""
+    Z = Z - Z.mean(axis=0)
+    sq = (Z * Z).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
+    return np.maximum(d2, 0.0)
+
+
 def two_matrix_test(X, Y, config):
     """(statistic, p-value) with the bandwidth and the kernel each from its own distance matrix.
 
-    Distances are formed from the centred pooled rows.
+    Distances are formed from the centred pooled rows, unscaled. The
+    bandwidth is the median of the square roots of the whole upper
+    triangle, of at most 1000 evenly strided rows, and the relabelings
+    are drawn one rng.permutation call at a time.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     n, m = len(X), len(Y)
     Z = np.vstack([X, Y])
-    Z = Z - Z.mean(axis=0)
-    sq = (Z * Z).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T
-    np.maximum(d2, 0.0, out=d2)
-    bw = median_heuristic(X, Y)
+    d2 = unscaled_distances(Z)
+    R = Z if len(Z) <= 1000 else Z[np.linspace(0, len(Z) - 1, 1000).astype(int)]
+    med = float(np.median(np.sqrt(unscaled_distances(R)[np.triu_indices(len(R), k=1)])))
+    bw = med if med > 0.0 else 1.0
     K = np.exp(d2 / (-2.0 * bw * bw))
     np.fill_diagonal(K, 0.0)
     r = K.sum(axis=1)
@@ -189,12 +201,22 @@ def two_matrix_test(X, Y, config):
     return observed, (1.0 + int((permuted >= observed).sum())) / (1.0 + config.permutations)
 
 
-def awkward_pair(rng, kind):
-    """Samples with tied rows, all-equal rows, or more pooled rows than the heuristic reads."""
+# (pooled rows, columns) of the tests shift-adapt runs: 300 source rows
+# against 250 target rows, or against 13 labeled ones. 313 * 312 / 2
+# distances is an even count, so their median is a mean of two.
+ADAPT_SIZES = [(550, 1), (550, 2), (313, 1), (313, 2)]
+
+
+def awkward_pair(rng, kind, size=None):
+    """Samples with tied rows, all-equal rows, more pooled rows than the heuristic reads,
+    or (kind "sized") the pooled rows and columns given by size."""
     d = int(rng.integers(1, 4))
     if kind == "subsampled":
         n = int(rng.integers(400, 700))
         return rng.standard_normal((n, d)), rng.standard_normal((1001 - n, d)) + 0.2
+    if kind == "sized":
+        N, d = size
+        return rng.standard_normal((300, d)), rng.standard_normal((N - 300, d)) + 0.2
     n, m = int(rng.integers(2, 80)), int(rng.integers(2, 80))
     X, Y = rng.standard_normal((n, d)), rng.standard_normal((m, d)) + rng.uniform(0.0, 1.0)
     if kind == "all equal":
@@ -213,15 +235,72 @@ class TestOneDistanceMatrix:
             assert median_heuristic(X, Y) == 1.0
         res = permutation_test(X, Y, MmdConfig(permutations=50, seed=0))
         assert res.statistic == mmd_statistic(X, Y, median_heuristic(X, Y))
+        assert res.bandwidth == median_heuristic(X, Y)
 
     def test_p_values_equal_two_matrix_algorithm(self):
         rng = np.random.default_rng(61)
-        kinds = ["tied"] * 40 + ["all equal"] * 8 + ["subsampled"] * 2
-        for case, kind in enumerate(kinds):
-            X, Y = awkward_pair(rng, kind)
+        cases = ([("tied", None)] * 40 + [("all equal", None)] * 8 + [("subsampled", None)] * 2
+                 + [("sized", size) for size in ADAPT_SIZES])
+        for case, (kind, size) in enumerate(cases):
+            X, Y = awkward_pair(rng, kind, size)
             cfg = MmdConfig(permutations=int(rng.integers(50, 120)), seed=case)
             res = permutation_test(X, Y, cfg)
             assert (res.statistic, res.p_value) == two_matrix_test(X, Y, cfg), (case, kind)
+
+    @pytest.mark.parametrize("N, B, seed", [(2, 50, 0), (5, 50, 3), (313, 100, 7), (550, 100, 11)])
+    def test_relabeling_bank_equals_one_permutation_per_column(self, N, B, seed):
+        # the bank draws in one batch what B rng.permutation(N) calls draw;
+        # a numpy release that changes either stream must fail here
+        n = N // 2
+        rng = np.random.default_rng(seed)
+        S = np.zeros((N, B))
+        for b in range(B):
+            S[rng.permutation(N)[:n], b] = 1.0
+        assert np.array_equal(_relabelings(N, n, B, seed), S)
+
+    def test_warm_test_peak_allocation(self):
+        # the kernel is built in the distance matrix's memory and the median
+        # reads one copy of the upper triangle: two N x N buffers at the peak
+        rng = np.random.default_rng(62)
+        X, Y = rng.standard_normal((300, 2)), rng.standard_normal((250, 2)) + 0.2
+        cfg = MmdConfig(permutations=100, seed=0)
+        permutation_test(X, Y, cfg)
+        tracemalloc.start()
+        try:
+            permutation_test(X, Y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 550 * 550 * 8
+
+
+class TestScaleInvariance:
+    """Rows scaled by a power of two give the same test, at any finite scale."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_p_values_identical_across_powers_of_two(self, d):
+        rng = np.random.default_rng(90)
+        X, Y = rng.standard_normal((50, d)), rng.standard_normal((50, d)) + 0.8
+        cfg = MmdConfig(permutations=100, seed=0)
+        base = permutation_test(X, Y, cfg)
+        assert base.rejected
+        for k in (-1000, -990, -531, -100, 100, 531, 600, 990, 1000):
+            res = permutation_test(np.ldexp(X, k), np.ldexp(Y, k), cfg)
+            assert (res.statistic, res.p_value) == (base.statistic, base.p_value), k
+            assert res.bandwidth == np.ldexp(base.bandwidth, k), k
+            assert median_heuristic(np.ldexp(X, k), np.ldexp(Y, k)) == res.bandwidth, k
+            assert mmd_statistic(np.ldexp(X, k), np.ldexp(Y, k), res.bandwidth) == base.statistic, k
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** 1000])
+    def test_zero_median_falls_back_to_one_in_data_units(self, scale):
+        X, Y = np.zeros((10, 2)), np.zeros((10, 2))
+        Y[0] = scale  # 19 of the 190 pooled distances are nonzero
+        assert median_heuristic(X, Y) == 1.0
+        res = permutation_test(X, Y, MmdConfig(permutations=50, seed=0))
+        assert res.bandwidth == 1.0
+        # at 2^1000 the square of that bandwidth in scaled units underflows:
+        # the kernel is then 1 on ties and 0 elsewhere, never nan
+        assert np.isfinite(res.statistic) and not res.rejected
 
 
 class TestNonFiniteSamples:

@@ -333,6 +333,28 @@ class TestFitVine:
                         a * predict_means(base, Q[:, :-1]) + b,
                         rtol=0, atol=tol * a * X[:, -1].std())
 
+    @pytest.mark.parametrize("k", [-990, -600, 600, 990])
+    def test_power_of_two_scales_are_exact(self, k):
+        # the Silverman spread is taken on a power-of-two rescaled column,
+        # so no square over- or underflows at any scale the data reach
+        rng = np.random.default_rng(30)
+        X, Q = regression_task(200, rng).X, regression_task(20, rng).X
+        base = fit_vine(X, truncation=2)
+        moved = fit_vine(np.ldexp(X, k), truncation=2)
+        for m, b in zip(moved.marginals, base.marginals):
+            assert np.array_equal(m.centers, np.ldexp(b.centers, k))
+            assert m.bandwidth == np.ldexp(b.bandwidth, k)
+        assert ([[(e.label(), e.weight, e.copula.z_centers.tobytes(), e.copula.sigma_z,
+                   e.copula.w_centers.tobytes(), e.copula.sigma_w) for e in t.edges]
+                 for t in moved.trees]
+                == [[(e.label(), e.weight, e.copula.z_centers.tobytes(), e.copula.sigma_z,
+                      e.copula.w_centers.tobytes(), e.copula.sigma_w) for e in t.edges]
+                    for t in base.trees])
+        scored = moved.log_density(np.ldexp(Q, k))
+        assert np.isfinite(scored).all()
+        assert_allclose(scored, base.log_density(Q) - X.shape[1] * k * np.log(2.0),
+                        rtol=1e-12)
+
     def test_gaussian_family(self):
         rng = np.random.default_rng(31)
         ds = gaussian_copula_chain(500, 4, rho=0.6, rng=rng)
