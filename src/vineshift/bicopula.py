@@ -37,7 +37,12 @@ of node pairs (z_i, w_j), with nodes at the integer multiples of
 sigma/3 on each axis that cover the clamped range +-Phi^-1(EPS) with
 two nodes to spare on each side. Every sum over centres is then
 sum_k A[i, k] B[j, k], a matrix product of per-axis factors: Gaussian
-cdfs or max-shifted Gaussian weights. Queries are answered by cubic
+cdfs or max-shifted Gaussian weights. A factor depends only on its
+axis (centres and bandwidth) and kind, and tables of the same walk
+often share an axis: tree-1 edges at one variable have equal centres,
+and so do a fitted vine and its reloaded copy. A small factor memo,
+keyed by the centres' bytes, keeps the few most recent factors, so
+such a run of tables builds each factor once. Queries are answered by cubic
 B-spline interpolation of the table, and interpolated h-values are
 clipped to [0, 1]; they differ from the exact sums by about 1e-5. The
 spline is scipy.ndimage's (spline_filter for the coefficients,
@@ -50,7 +55,8 @@ centres: a memo holds the most recently read tables, up to _MEMO_BYTES
 in all, so a walk reuses the tables an earlier walk over the same vine
 built (score after predict, predict after fit or adapt). A table
 depends on the copula only, so a query's value depends neither on the
-batch it comes in nor on whether its table was memoised. A copula
+batch it comes in nor on whether its table or factors were memoised;
+both memos share one least-recently-used helper, _memoised. A copula
 whose bandwidth would need more than _MAX_NODES nodes on an axis
 evaluates the exact sums instead, one statcore.row_blocks block of
 queries at a time; those stay as the reference the tables are tested
@@ -62,6 +68,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -91,6 +98,17 @@ _Z_MAX = float(-ndtri(EPS))
 # nodes (2 MB each).
 _MEMO_BYTES = 3 << 20
 
+# Axis factors the factor memo keeps: the most recent Gaussian-cdf factor
+# and the two most recent weight factors, none over _FACTOR_BYTES (a factor
+# is nodes x n doubles, 1.26 MB at n=1200). An h table reads one factor of
+# each kind, a log c table two weight factors. A walk reads the tables of
+# the edges at one variable in a run, so one cdf slot already builds each
+# distinct cdf axis once per walk: 16 of the 28 h tables of a d=16 vine's
+# first two trees. A second weight slot saves a third of the weight builds
+# of a fit and score of such a vine at n=1200 (70 against 100).
+_FACTOR_SLOTS = {"cdf": 1, "weight": 2}
+_FACTOR_BYTES = 2 << 20
+
 # Below this a weight product of log c has lost its precision to underflow.
 _UNDERFLOW = 1e-250
 
@@ -117,79 +135,163 @@ def _peak(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
     return _log_kernel(x, near, sigma).max(axis=1)
 
 
+# One lock guards every memo in this module.
+_memo_lock = threading.Lock()
+
+
+def _memoised(memo: OrderedDict, key, build, args: tuple, limit: float, cost,
+              reserve: float = 0):
+    """memo[key], made the most recently used, or on a miss what build(*args) returns.
+
+    The kept values' costs (cost(value) each) total at most limit; the
+    least recently used are dropped first. A miss drops before the build
+    until reserve more fits, so that a value is not built beside one it
+    displaces, and again after it, so that a value over limit on its own
+    is returned but not kept. Values are built outside the lock, so two
+    threads may build the same one; both are the same bits, and the one
+    kept first is returned.
+    """
+    with _memo_lock:
+        value = memo.get(key)
+        if value is not None:
+            memo.move_to_end(key)
+            return value
+        _drop(memo, limit - reserve, cost)
+    value = build(*args)
+    with _memo_lock:
+        value = memo.setdefault(key, value)
+        memo.move_to_end(key)
+        _drop(memo, limit, cost)
+    return value
+
+
+def _drop(memo: OrderedDict, limit: float, cost):
+    kept = sum(map(cost, memo.values()))
+    while memo and kept > limit:
+        kept -= cost(memo.popitem(last=False)[1])
+
+
+class _Factor(NamedTuple):
+    """One axis's factor matrix (nodes x centres), _MAX_NODES centres per block.
+
+    A "cdf" factor holds Phi((node - centre) / sigma). A "weight" factor
+    holds exp(-((node - centre) / sigma)^2 / 2 - peak[node]), so that
+    each node's largest weight is 1, and norm, its row sums, which are
+    complete once every block has been read.
+    """
+
+    blocks: Iterable[np.ndarray]
+    norm: np.ndarray | None
+    peak: np.ndarray | None
+
+
+def _build_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str) -> _Factor:
+    """kind's factor of one axis, its blocks computed one at a time as they are read."""
+    weight = kind == "weight"
+    peak = _peak(nodes, centers, sigma) if weight else None
+    norm = np.zeros(nodes.size) if weight else None
+
+    def blocks():
+        for start in range(0, centers.size, _MAX_NODES):
+            blk = centers[start:start + _MAX_NODES]
+            if not weight:
+                yield _kernel_cdfs(nodes, blk, sigma)
+                continue
+            f = _log_kernel(nodes, blk, sigma)
+            f -= peak[:, None]
+            np.add(norm, np.exp(f, out=f).sum(axis=1), out=norm)
+            yield f
+
+    return _Factor(blocks(), norm, peak)
+
+
+def _kept_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str) -> _Factor:
+    """_build_factor's factor with every block computed, all of it read-only."""
+    factor = _build_factor(nodes, centers, sigma, kind)
+    factor = factor._replace(blocks=tuple(factor.blocks))
+    for a in (*factor.blocks, factor.norm, factor.peak):
+        if a is not None:
+            a.flags.writeable = False
+    return factor
+
+
+# kind -> ((centre bytes, sigma) -> _Factor), least recently read first.
+_factors = {kind: OrderedDict() for kind in _FACTOR_SLOTS}
+
+
+def _axis_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str) -> _Factor:
+    """kind's factor of one axis, from the factor memo unless it is too large to keep.
+
+    The memo is keyed by the centres' bytes and sigma, so copulas that
+    share an axis (tree-1 edges at one variable, a fitted vine and its
+    reloaded copy) share its factor, whichever role the axis has in each.
+    A factor over _FACTOR_BYTES is computed block by block as it is read
+    and never held whole, so memory does not grow with n.
+    """
+    if nodes.size * centers.size * 8 > _FACTOR_BYTES:
+        return _build_factor(nodes, centers, sigma, kind)
+    return _memoised(_factors[kind], (centers.tobytes(), sigma), _kept_factor,
+                     (nodes, centers, sigma, kind), _FACTOR_SLOTS[kind], _one, reserve=1)
+
+
+def _one(factor: _Factor) -> int:
+    return 1
+
+
 def _node_values(cop: "KernelCopula", kind: str) -> np.ndarray:
     """Exact values of method kind at every node pair (z_i, w_j).
 
     Kernel k is a product of a z-factor and a w-factor, so each sum over
     centres is (A @ B.T)[i, j] for per-axis factor matrices: Gaussian
     cdfs on the axis an h-function is a cdf of, Gaussian weights shifted
-    so that each node's largest is 1 elsewhere. Centres are taken
-    _MAX_NODES at a time, so a factor matrix holds at most _MAX_NODES^2
-    entries (2 MB) whatever n is, and the values depend on the copula only.
+    so that each node's largest is 1 elsewhere. Each factor comes from
+    _axis_factor, so tables that share an axis build its factor once
+    while the factor memo keeps it. The product is summed over blocks of
+    _MAX_NODES centres in order, so the values depend on the copula
+    only, whether or not a factor was memoised.
     """
     z, w = _nodes(cop.sigma_z), _nodes(cop.sigma_w)
-    peak_z = _peak(z, cop.z_centers, cop.sigma_z)
-    peak_w = _peak(w, cop.w_centers, cop.sigma_w)
+    a = _axis_factor(z, cop.z_centers, cop.sigma_z, "cdf" if kind == "cdf_u_given_v" else "weight")
+    b = _axis_factor(w, cop.w_centers, cop.sigma_w, "cdf" if kind == "cdf_v_given_u" else "weight")
     prod = np.zeros((z.size, w.size))
-    norm_z, norm_w = np.zeros(z.size), np.zeros(w.size)
-    for start in range(0, cop.n, _MAX_NODES):
-        blk = slice(start, start + _MAX_NODES)
-        if kind == "cdf_u_given_v":
-            a = _kernel_cdfs(z, cop.z_centers[blk], cop.sigma_z)
-        else:
-            a = _log_kernel(z, cop.z_centers[blk], cop.sigma_z)
-            a -= peak_z[:, None]
-            norm_z += np.exp(a, out=a).sum(axis=1)
-        if kind == "cdf_v_given_u":
-            b = _kernel_cdfs(w, cop.w_centers[blk], cop.sigma_w)
-        else:
-            b = _log_kernel(w, cop.w_centers[blk], cop.sigma_w)
-            b -= peak_w[:, None]
-            norm_w += np.exp(b, out=b).sum(axis=1)
-        prod += a @ b.T
+    for a_blk, b_blk in zip(a.blocks, b.blocks):
+        prod += a_blk @ b_blk.T
     if kind == "cdf_u_given_v":
-        return prod / norm_w
+        return prod / b.norm
     if kind == "cdf_v_given_u":
-        return prod / norm_z[:, None]
+        return prod / a.norm[:, None]
     out = np.log(np.maximum(prod, _UNDERFLOW))
-    out += (peak_z + 0.5 * z * z)[:, None]
-    out += peak_w + 0.5 * w * w
+    out += (a.peak + 0.5 * z * z)[:, None]
+    out += b.peak + 0.5 * w * w
     out -= np.log(cop.n) + np.log(cop.sigma_z * cop.sigma_w)
     lost = np.nonzero(prod <= _UNDERFLOW)
     out[lost] = cop._log_density_z(z[lost[0]], w[lost[1]])
     return out
 
 
-# (copula, kind) -> table, least recently read first; guarded by _tables_lock.
+# (copula, kind) -> table, least recently read first.
 _tables: OrderedDict = OrderedDict()
-_tables_lock = threading.Lock()
 
 
 def _spline_table(cop: "KernelCopula", kind: str) -> np.ndarray:
     """Read-only cubic B-spline coefficients interpolating kind on cop's nodes.
 
-    Tables are memoised, and the least recently read are dropped while
-    their total nbytes exceeds _MEMO_BYTES; a table built now is returned
-    even when it alone is over. Tables are built outside the lock, so two
-    threads may build the same one; both are the same bits, and the one
-    kept first is returned.
+    Tables are memoised, up to _MEMO_BYTES in all; a table built now is
+    returned even when it alone is over.
     """
     key = (cop, kind)
-    with _tables_lock:
-        coef = _tables.get(key)
-        if coef is not None:
-            _tables.move_to_end(key)
-            return coef
+    return _memoised(_tables, key, _build_table, key, _MEMO_BYTES, _nbytes)
+
+
+def _nbytes(table: np.ndarray) -> int:
+    return table.nbytes
+
+
+def _build_table(cop: "KernelCopula", kind: str) -> np.ndarray:
     from scipy.ndimage import spline_filter
 
     coef = spline_filter(_node_values(cop, kind), order=3, mode="mirror")
     coef.flags.writeable = False
-    with _tables_lock:
-        coef = _tables.setdefault(key, coef)
-        _tables.move_to_end(key)
-        kept = sum(t.nbytes for t in _tables.values())
-        while kept > _MEMO_BYTES:
-            kept -= _tables.popitem(last=False)[1].nbytes
     return coef
 
 
@@ -219,9 +321,9 @@ class _Copula:
 class KernelCopula(_Copula):
     """Gaussian-transform kernel copula.
 
-    z_centers, w_centers are the transformed pseudo-observations and
-    sigma_z/sigma_w the per-coordinate bandwidths. Equality and hashing
-    are by identity.
+    z_centers, w_centers are the transformed pseudo-observations, which
+    must be finite, and sigma_z/sigma_w the per-coordinate bandwidths.
+    Equality and hashing are by identity.
     """
 
     z_centers: np.ndarray
@@ -234,6 +336,9 @@ class KernelCopula(_Copula):
         object.__setattr__(self, "w_centers", np.asarray(self.w_centers, dtype=float).ravel())
         if self.z_centers.size != self.w_centers.size or self.z_centers.size < 1:
             raise ValueError("center vectors must be non-empty and of equal length")
+        for name in ("z_centers", "w_centers"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.sigma_z < np.inf and 0.0 < self.sigma_w < np.inf):
             raise ValueError("bandwidths must be positive and finite")
 

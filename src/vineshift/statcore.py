@@ -129,7 +129,7 @@ class GaussianKernel1D:
     pdf(x)  = (1/(n h)) sum_i phi((x - c_i)/h)
     cdf(x)  = (1/n) sum_i Phi((x - c_i)/h)
 
-    Equality and hashing are by identity.
+    The centres c_i must be finite. Equality and hashing are by identity.
     """
 
     centers: np.ndarray
@@ -139,6 +139,8 @@ class GaussianKernel1D:
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float).ravel())
         if self.centers.size == 0:
             raise ValueError("centers must be non-empty")
+        if not np.isfinite(self.centers).all():
+            raise ValueError("centers must be finite")
         if not 0.0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {float(self.bandwidth)}")
 

@@ -8,10 +8,10 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 
-from vineshift import bicopula, regress
+from vineshift import bicopula, modelfile, regress
 from vineshift.bicopula import EPS, GaussianCopula, IndependenceCopula, KernelCopula
 from vineshift.rvine import fit_vine
-from vineshift.statcore import rank_pseudo_observations
+from vineshift.statcore import _kernel_cdfs, _log_kernel, rank_pseudo_observations
 from vineshift.synth import regression_task
 
 
@@ -48,6 +48,11 @@ class TestKernelCopulaBasics:
             KernelCopula([0.0], [0.0], -1.0, 1.0)
         with pytest.raises(ValueError):
             KernelCopula([0.0], [0.0], 1.0, np.inf)
+        for c in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^z_centers must be finite$"):
+                KernelCopula([c, 1.0, 2.0], [0.0, 1.0, 2.0], 0.5, 0.5)
+            with pytest.raises(ValueError, match="^w_centers must be finite$"):
+                KernelCopula([0.0, 1.0, 2.0], [0.0, c, 2.0], 0.5, 0.5)
         with pytest.raises(ValueError):
             KernelCopula.fit([0.0, 0.5], [0.5, 0.5])
 
@@ -217,6 +222,71 @@ def record_builds(monkeypatch) -> list:
     return builds
 
 
+def record_factor_builds(monkeypatch) -> list:
+    """(kind, centre bytes, sigma) of every axis factor built from now on, in order."""
+    builds = []
+    build = bicopula._build_factor
+    monkeypatch.setattr(bicopula, "_build_factor",
+                        lambda nodes, centers, sigma, kind:
+                        builds.append((kind, centers.tobytes(), sigma))
+                        or build(nodes, centers, sigma, kind))
+    return builds
+
+
+def oracle_node_values(cop, kind):
+    """Reference node values: both factors computed block by block, no memo."""
+    z, w = bicopula._nodes(cop.sigma_z), bicopula._nodes(cop.sigma_w)
+    peak_z = bicopula._peak(z, cop.z_centers, cop.sigma_z)
+    peak_w = bicopula._peak(w, cop.w_centers, cop.sigma_w)
+    prod = np.zeros((z.size, w.size))
+    norm_z, norm_w = np.zeros(z.size), np.zeros(w.size)
+    for start in range(0, cop.n, bicopula._MAX_NODES):
+        blk = slice(start, start + bicopula._MAX_NODES)
+        if kind == "cdf_u_given_v":
+            a = _kernel_cdfs(z, cop.z_centers[blk], cop.sigma_z)
+        else:
+            a = _log_kernel(z, cop.z_centers[blk], cop.sigma_z)
+            a -= peak_z[:, None]
+            norm_z += np.exp(a, out=a).sum(axis=1)
+        if kind == "cdf_v_given_u":
+            b = _kernel_cdfs(w, cop.w_centers[blk], cop.sigma_w)
+        else:
+            b = _log_kernel(w, cop.w_centers[blk], cop.sigma_w)
+            b -= peak_w[:, None]
+            norm_w += np.exp(b, out=b).sum(axis=1)
+        prod += a @ b.T
+    if kind == "cdf_u_given_v":
+        return prod / norm_w
+    if kind == "cdf_v_given_u":
+        return prod / norm_z[:, None]
+    out = np.log(np.maximum(prod, bicopula._UNDERFLOW))
+    out += (peak_z + 0.5 * z * z)[:, None]
+    out += peak_w + 0.5 * w * w
+    out -= np.log(cop.n) + np.log(cop.sigma_z * cop.sigma_w)
+    lost = np.nonzero(prod <= bicopula._UNDERFLOW)
+    out[lost] = cop._log_density_z(z[lost[0]], w[lost[1]])
+    return out
+
+
+def empty_factor_memos(monkeypatch):
+    monkeypatch.setattr(bicopula, "_factors", {k: OrderedDict() for k in bicopula._FACTOR_SLOTS})
+
+
+def cdf_axis(cop, kind):
+    """(centre bytes, sigma) of the axis an h table kind of cop is a cdf of."""
+    if kind == "cdf_u_given_v":
+        return cop.z_centers.tobytes(), cop.sigma_z
+    return cop.w_centers.tobytes(), cop.sigma_w
+
+
+def shares_tree1_axes(model) -> bool:
+    """Whether two tree-1 copula axes of model have equal centres and bandwidth."""
+    axes = [(c.tobytes(), s) for e in model.trees[0].edges
+            for c, s in ((e.copula.z_centers, e.copula.sigma_z),
+                         (e.copula.w_centers, e.copula.sigma_w))]
+    return len(set(axes)) < len(axes)
+
+
 class TestKernelCopulaEvaluation:
     """The exact sums, their tables, and what a query's value may depend on."""
 
@@ -358,6 +428,7 @@ class TestTableMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
         monkeypatch.setattr(bicopula, "_tables", OrderedDict())
+        empty_factor_memos(monkeypatch)
 
     @pytest.fixture(scope="class")
     def vine(self):
@@ -368,6 +439,14 @@ class TestTableMemo:
         model = fit_vine(train.X, truncation=2, variable_names=train.names,
                          target_index=9, seed=31)
         return model, test.X
+
+    @pytest.fixture(scope="class")
+    def deep_vine(self):
+        # d=16, truncation 2: tree 1's 15 edges meet at variables of degree
+        # up to 4, so several tables share an axis
+        rng = np.random.default_rng(42)
+        train, test = regression_task(150, rng, d=16), regression_task(80, rng, d=16)
+        return fit_vine(train.X, truncation=2, target_index=15, seed=42), test.X
 
     def test_predict_then_score_builds_each_table_once(self, vine, monkeypatch):
         model, X = vine
@@ -441,9 +520,19 @@ class TestTableMemo:
         assert len(builds) == 2 * len(METHODS)
 
     def test_threads_scoring_one_vine_agree(self, vine):
-        model, X = vine
+        self.score_in_threads(*vine)
+
+    def test_threads_scoring_a_vine_with_shared_axes_agree(self, deep_vine):
+        self.score_in_threads(*deep_vine)
+
+    @staticmethod
+    def score_in_threads(model, X):
+        """Four threads score model from cold memos and agree with one scoring bit for bit."""
+        assert shares_tree1_axes(model)
         expect = model.log_density(X)
         bicopula._tables.clear()
+        for memo in bicopula._factors.values():
+            memo.clear()
         start = threading.Barrier(4, timeout=60)
         results = [None] * 4
 
@@ -465,6 +554,128 @@ class TestTableMemo:
         for got in results:
             assert np.array_equal(got, expect)
         assert sum(t.nbytes for t in bicopula._tables.values()) <= bicopula._MEMO_BYTES
+        for kind, memo in bicopula._factors.items():
+            assert 0 < len(memo) <= bicopula._FACTOR_SLOTS[kind], kind
+
+
+class TestAxisFactors:
+    """Each axis's factor matrix is built once while the tables that share it are built."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self, monkeypatch):
+        monkeypatch.setattr(bicopula, "_tables", OrderedDict())
+        empty_factor_memos(monkeypatch)
+
+    @staticmethod
+    def neighbours(n, seed):
+        """Copulas fitted to (u, v1) and to a copy of u with v2: equal z axes, distinct objects."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        u, v1, v2 = (rank_pseudo_observations(c) for c in
+                     (x[:, 0], x[:, 0] + x[:, 1], x[:, 0] - x[:, 2]))
+        return KernelCopula.fit(u, v1), KernelCopula.fit(u.copy(), v2)
+
+    @pytest.mark.parametrize("n, blocks", [(300, 1), (1200, 3)])
+    def test_tables_equal_the_oracle(self, n, blocks):
+        a, b = self.neighbours(n, 50)
+        assert -(-n // bicopula._MAX_NODES) == blocks
+        swapped = KernelCopula(a.w_centers, a.z_centers, a.sigma_w, a.sigma_z)
+        others = [fitted(n, seed)[0] for seed in (51, 52)]
+        # cold; warmed by a copula sharing one axis; roles swapped; after eviction
+        reads = [a, b, swapped, *others, a]
+        assert b.z_centers is not a.z_centers and np.array_equal(b.z_centers, a.z_centers)
+        for cop in reads:
+            for kind in METHODS:
+                assert np.array_equal(bicopula._node_values(cop, kind),
+                                      oracle_node_values(cop, kind)), kind
+
+    def test_equal_centres_share_a_build_unlike_another_sigma(self, monkeypatch):
+        a, b = self.neighbours(200, 53)
+        wider = KernelCopula(a.z_centers, a.w_centers, 1.5 * a.sigma_z, a.sigma_w)
+        builds = record_factor_builds(monkeypatch)
+        bicopula._node_values(a, "cdf_u_given_v")
+        bicopula._node_values(b, "cdf_u_given_v")
+        assert [k for k, *_ in builds] == ["cdf", "weight", "weight"]
+        bicopula._node_values(wider, "cdf_u_given_v")
+        assert [k for k, *_ in builds[3:]] == ["cdf"]
+        assert builds[3][1:] == (a.z_centers.tobytes(), 1.5 * a.sigma_z)
+
+    def test_slots_hold_one_cdf_and_two_weight_factors(self, monkeypatch):
+        cops = [fitted(60, seed)[0] for seed in range(54, 58)]
+        builds = record_factor_builds(monkeypatch)
+        for cop in cops:
+            for kind in METHODS:
+                bicopula._node_values(cop, kind)
+                for k, memo in bicopula._factors.items():
+                    assert len(memo) <= bicopula._FACTOR_SLOTS[k]
+        assert {k: len(m) for k, m in bicopula._factors.items()} == {"cdf": 1, "weight": 2}
+        # per copula: log c builds both weights; the h tables add the two cdfs
+        assert len(builds) == 4 * len(cops)
+        # the last reads were h(u|v) (cdf of z, weights of w), then h(v|u)
+        # (weights of z, cdf of w)
+        last = cops[-1]
+        z, w = (last.z_centers.tobytes(), last.sigma_z), (last.w_centers.tobytes(), last.sigma_w)
+        assert list(bicopula._factors["weight"]) == [w, z]
+        assert list(bicopula._factors["cdf"]) == [w]
+
+    def test_oldest_entry_is_dropped_before_a_build(self, monkeypatch):
+        cops = [fitted(60, seed)[0] for seed in (58, 59)]
+        kept = []
+        build = bicopula._build_factor
+
+        def watch(nodes, centers, sigma, kind):
+            kept.append((kind, list(bicopula._factors[kind])))
+            return build(nodes, centers, sigma, kind)
+
+        monkeypatch.setattr(bicopula, "_build_factor", watch)
+        for cop in cops:
+            bicopula._node_values(cop, "cdf_u_given_v")
+        w0 = (cops[0].w_centers.tobytes(), cops[0].sigma_w)
+        z1, w1 = (cops[1].z_centers.tobytes(), cops[1].sigma_z), (cops[1].w_centers.tobytes(),
+                                                                 cops[1].sigma_w)
+        # the cdf of z0 is gone before the cdf of z1 is built
+        assert kept == [("cdf", []), ("weight", []),
+                        ("cdf", []), ("weight", [w0])]
+        bicopula._node_values(cops[1], "log_density")
+        # z1's weight factor is built after w0's, the least recently read, was dropped
+        assert kept[-1] == ("weight", [w1])
+        assert list(bicopula._factors["weight"]) == [z1, w1]
+
+    def test_factor_over_the_limit_is_returned_not_kept(self, monkeypatch):
+        cop = fitted(3000, 60)[0]
+        nodes = bicopula._nodes(cop.sigma_z).size
+        assert nodes * cop.n * 8 > bicopula._FACTOR_BYTES
+        builds = record_factor_builds(monkeypatch)
+        for _ in range(2):
+            for kind in METHODS:
+                assert np.array_equal(bicopula._node_values(cop, kind),
+                                      oracle_node_values(cop, kind)), kind
+                assert not any(bicopula._factors.values())
+        assert len(builds) == 2 * 2 * len(METHODS)
+
+    def test_fit_and_score_build_each_cdf_axis_once_per_walk(self, monkeypatch):
+        # fit-large's pipeline at small n: fit a d=16, truncation-2 vine, then
+        # score a reloaded copy, whose copulas are new objects with equal axes
+        rng = np.random.default_rng(41)
+        train, test = regression_task(120, rng, d=16), regression_task(60, rng, d=16)
+        builds, tables = record_factor_builds(monkeypatch), record_builds(monkeypatch)
+        counts = []
+
+        def walked():
+            kinds = [k for k, *_ in builds]
+            axes = {cdf_axis(c, k) for c, k in tables if k != "log_density"}
+            counts.append((kinds.count("cdf"), kinds.count("weight"), len(tables)))
+            assert kinds.count("cdf") == len(axes)
+            builds.clear()
+            tables.clear()
+
+        model = fit_vine(train.X, truncation=2, target_index=15, seed=41)
+        walked()
+        modelfile.model_from_doc(modelfile.model_to_doc(model)).log_density(test.X)
+        walked()
+        # 28 h tables need 28 cdf and 28 weight factors in all, over 16
+        # distinct cdf axes; scoring adds 29 log c tables (58 weight factors)
+        assert counts == [(16, 26, 28), (16, 44, 57)]
 
 
 class TestGaussianCopula:

@@ -324,6 +324,9 @@ class TestPredictEval:
         assert run(command, broken, workdir / "test.csv", "--grid-points", 65, *out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if corrupt.startswith(("nan", "inf")):
+            # the file is refused before a model is constructed from it
+            assert "non-finite" in err
 
     @pytest.mark.parametrize("corrupt", ["zero_std", "negative_std", "overflowing_std",
                                          "nonzero_gamma"])

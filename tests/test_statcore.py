@@ -121,6 +121,10 @@ class TestGaussianKernel1D:
         for h in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 GaussianKernel1D(centers=[1.0], bandwidth=h)
+        # a nan centre made every cdf nan, an inf one gave finite log densities
+        for c in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^centers must be finite$"):
+                GaussianKernel1D(centers=[c, 1.0, 2.0], bandwidth=0.5)
 
     def test_equality_and_hash_are_by_identity(self):
         a, b = GaussianKernel1D.fit([0.1, 0.4, 0.9]), GaussianKernel1D.fit([0.1, 0.4, 0.9])
