@@ -206,7 +206,14 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         return alone
 
     # -- marginals -----------------------------------------------------------
+    # Each domain's rows under its post-adaptation marginals, for the
+    # first-tree tests: a changed variable keeps the source fit on the
+    # source side, everything else shares the new fit. The labeled rows
+    # lead the target rows, so U_tgt[:lab_rows] holds them; the target
+    # column is computed only where a y-edge test reads it, and not at
+    # all in unsupervised mode, which copies every y-edge.
     new_marginals: list = [None] * d
+    U_src, U_tgt = np.full_like(Xs, np.nan), np.full_like(Xt, np.nan)
     for i in range(d):
         fid = f"marginal({i})"
         if i == y and unsup:
@@ -216,24 +223,10 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         src_col = Xs[:, i]
         tgt_col = Xt_lab[:, i] if i == y else Xt[:, i]
         alone = refit_target_only(fid, src_col, tgt_col)
-        new_marginals[i] = GaussianKernel1D.fit(
+        m = new_marginals[i] = GaussianKernel1D.fit(
             tgt_col if alone else np.concatenate([src_col, tgt_col]))
-
-    # Each domain's rows under its post-adaptation marginals, for the
-    # first-tree tests: a changed variable keeps the source fit on the
-    # source side, everything else shares the new fit. The labeled rows
-    # lead the target rows, so U_tgt[:lab_rows] holds them; the target
-    # column is computed only where a y-edge test reads it, and not at
-    # all in unsupervised mode, which copies every y-edge.
-    changed = {dec.factor_id for dec in decisions if dec.changed}
-    U_src, U_tgt = np.full_like(Xs, np.nan), np.full_like(Xt, np.nan)
-    for i, m in enumerate(new_marginals):
-        if i == y and unsup:
-            continue
-        rows = slice(lab_rows) if i == y else slice(None)
-        U_tgt[rows, i] = m.cdf(Xt[rows, i])
-        U_src[:, i] = (source_vine.marginals[i] if f"marginal({i})" in changed
-                       else m).cdf(Xs[:, i])
+        U_tgt[:tgt_col.size, i] = m.cdf(tgt_col)
+        U_src[:, i] = (source_vine.marginals[i] if decisions[-1].changed else m).cdf(src_col)
 
     # -- rank pseudo-observations of the pooled rows -------------------------
     def _ranks(X: np.ndarray, keep_y: bool) -> np.ndarray:

@@ -7,7 +7,8 @@ trees T_1 ... T_t (t = truncation level):
     p(x) = prod_i p_i(x_i) * prod_trees prod_edges c_{jk|D(e)}(. , .)
 
 Tree T_1 spans the variables; its edges are chosen by a maximum spanning
-tree on absolute Kendall tau weights (Prim's algorithm). Each later tree
+tree on absolute Kendall tau weights (Prim's algorithm, which takes the
+tree builder's candidate list and sorts it once). Each later tree
 spans the previous tree's edges, joining only pairs of edges that share
 a node (proximity condition), with the set algebra
 
@@ -39,6 +40,8 @@ is done nothing reads its arguments again, and they are dropped.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -50,36 +53,37 @@ from .statcore import (TAU_BLOCK_ENTRIES, GaussianKernel1D, kendall_tau,
                        rank_pseudo_observations, row_blocks)
 
 
-def prim_max_spanning_tree(weights: np.ndarray, valid: np.ndarray | None = None,
-                           edge_key=None) -> list[tuple[int, int]]:
+def prim_max_spanning_tree(m: int, candidates) -> list[tuple[int, int]]:
     """Maximum spanning tree over nodes 0..m-1 by Prim's algorithm.
 
-    weights: symmetric (m, m) matrix. valid: optional boolean mask of
-    allowed edges. Ties are broken by the smallest edge_key(i, j)
-    (default: the sorted index pair), which makes the result
-    deterministic for equal weights.
+    candidates holds (weight, key, i, j) for each allowed pair i < j.
+    They are sorted once by (-weight, key): the tree grows from node 0,
+    each step joining by the first candidate with exactly one end in it,
+    so ties in weight go to the smallest key. Returns the edges as
+    (i, j) in joining order; raises StructureError if the candidates do
+    not connect the nodes, and ValueError on a non-finite weight.
     """
-    m = weights.shape[0]
-    if edge_key is None:
-        edge_key = lambda i, j: (min(i, j), max(i, j))
-    in_tree = [0]
-    outside = set(range(1, m))
-    edges: list[tuple[int, int]] = []
-    while outside:
-        best = None
-        for i in in_tree:
-            for j in outside:
-                if valid is not None and not valid[i, j]:
-                    continue
-                cand = (weights[i, j], edge_key(i, j), i, j)
-                if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                    best = cand
-        if best is None:
+    ranked = sorted(candidates, key=lambda c: (-c[0], c[1]))
+    if not np.isfinite([c[0] for c in ranked]).all():
+        raise ValueError("spanning-tree weights must be finite")
+    touching = [[] for _ in range(m)]
+    for rank, (_, _, i, j) in enumerate(ranked):
+        touching[i].append(rank)
+        touching[j].append(rank)
+    # ranks of the candidates with an end in the tree, each pushed when its
+    # first end joins and dropped when it surfaces with both ends inside
+    in_tree, edges, heap = {0}, [], touching[0] if m else []
+    while len(in_tree) < m:
+        if not heap:
             raise StructureError("candidate graph is disconnected")
-        _, _, i, j = best
-        edges.append((min(i, j), max(i, j)))
-        in_tree.append(j)
-        outside.remove(j)
+        _, _, i, j = ranked[heapq.heappop(heap)]
+        if i in in_tree and j in in_tree:
+            continue
+        edges.append((i, j))
+        new = j if i in in_tree else i
+        in_tree.add(new)
+        for rank in touching[new]:
+            heapq.heappush(heap, rank)
     return edges
 
 
@@ -141,38 +145,34 @@ def _build_tree(level: int, nodes: list, F: dict, adjacent) -> VineTree:
     the pair {a, b} = N_p ^ N_q. The candidates are collected first;
     their taus then come from kendall_tau on stacked rows, one block of
     about TAU_BLOCK_ENTRIES entries per call, so a tree's working memory
-    does not grow with its number of candidates. Ties go to the smallest
-    sorted pair.
+    does not grow with its number of candidates. Each candidate goes to
+    prim_max_spanning_tree as (|tau|, sorted {a, b}, p, q), and Prim
+    sorts that list once.
     """
     m = len(nodes)
     joined, xs, ys = [], [], []
-    pair = {}
-    for p in range(m):
-        for q in range(p + 1, m):
-            if not adjacent(p, q):
-                continue
-            if len(nodes[p] ^ nodes[q]) != 2:
-                raise StructureError("node-sharing edges must differ in exactly 2 variables")
-            (a,), (b,) = nodes[p] - nodes[q], nodes[q] - nodes[p]
-            D = nodes[p] & nodes[q]
-            if F.get((a, D)) is None or F.get((b, D)) is None:
-                raise StructureError("missing conditional sample for candidate edge")
-            joined.append((p, q))
-            xs.append(F[a, D])
-            ys.append(F[b, D])
-            pair[p, q] = pair[q, p] = tuple(sorted((a, b)))
+    for p, q in itertools.combinations(range(m), 2):
+        if not adjacent(p, q):
+            continue
+        if len(nodes[p] ^ nodes[q]) != 2:
+            raise StructureError("node-sharing edges must differ in exactly 2 variables")
+        (a,), (b,) = nodes[p] - nodes[q], nodes[q] - nodes[p]
+        D = nodes[p] & nodes[q]
+        if F.get((a, D)) is None or F.get((b, D)) is None:
+            raise StructureError("missing conditional sample for candidate edge")
+        joined.append((tuple(sorted((a, b))), p, q))
+        xs.append(F[a, D])
+        ys.append(F[b, D])
     taus = np.empty(len(joined))
     for blk in row_blocks(len(joined), np.size(xs[0]) if xs else 0, TAU_BLOCK_ENTRIES):
         taus[blk] = kendall_tau(np.stack(xs[blk]), np.stack(ys[blk]))
-    W = np.zeros((m, m))
-    valid = np.zeros((m, m), dtype=bool)
-    for (p, q), tau in zip(joined, taus):
-        W[p, q] = W[q, p] = abs(tau)
-        valid[p, q] = valid[q, p] = True
-    pairs = prim_max_spanning_tree(W, valid=valid, edge_key=lambda i, j: pair[i, j])
-    edges = [VineEdge(conditioned=pair[p, q], conditioning=nodes[p] & nodes[q],
-                      node_pair=(p, q), weight=float(W[p, q]))
-             for p, q in pairs]
+    candidates = [(abs(tau), pair, p, q) for (pair, p, q), tau in zip(joined, taus)]
+    by_nodes = {(p, q): (w, pair) for w, pair, p, q in candidates}
+    edges = []
+    for p, q in prim_max_spanning_tree(m, candidates):
+        w, pair = by_nodes[p, q]
+        edges.append(VineEdge(conditioned=pair, conditioning=nodes[p] & nodes[q],
+                              node_pair=(p, q), weight=float(w)))
     return VineTree(level=level, nodes=list(nodes), edges=edges)
 
 

@@ -78,7 +78,7 @@ def elementwise(body):
 
 
 def _check_open_unit(name: str, values: np.ndarray):
-    if np.any(values <= 0.0) or np.any(values >= 1.0):
+    if not np.all((values > 0.0) & (values < 1.0)):
         raise ValueError(f"{name} must lie strictly in (0, 1)")
 
 

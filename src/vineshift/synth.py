@@ -95,17 +95,20 @@ def regression_task(n: int, rng, d: int = 10, noise: float = 0.4,
     """Non-linear regression sample with d-1 chained features.
 
     y = 2 tanh(1.2 z0) + noise * eps, where z0 is the latent chain
-    coordinate behind the first feature. shifts maps a feature index to
-    (add, scale) applied after y is drawn: the feature's marginal moves
-    while every rank dependence, including the one to y, stays put. A
-    model carrying the source marginals mislocates shifted features on
-    the copula scale; re-estimating just the flagged marginals repairs
-    it without touching any pair copula.
+    coordinate behind the first feature. shifts maps a feature index in
+    0..d-2 to (add, scale) applied after y is drawn: the feature's
+    marginal moves while every rank dependence, including the one to y,
+    stays put. A model carrying the source marginals mislocates shifted
+    features on the copula scale; re-estimating just the flagged
+    marginals repairs it without touching any pair copula.
     """
     if d < 2:
         raise ValueError(f"regression_task needs d >= 2 (a feature and the target), got {d}")
     if not 0.0 <= noise < np.inf:
         raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    for col in shifts or {}:
+        if not 0 <= col <= d - 2:
+            raise ValueError(f"shift column {col} is not a feature: features are 0..{d - 2}")
     k = d - 1
     X = _chain_normals(n, k, rho, rng)
     y = 2.0 * np.tanh(1.2 * X[:, 0]) + noise * rng.standard_normal(n)

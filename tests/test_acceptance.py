@@ -22,10 +22,12 @@ from vineshift.bench import ExperimentConfig, adaptation_experiment, density_ben
 from vineshift.bicopula import KernelCopula
 from vineshift.mmd import MmdConfig, permutation_test
 from vineshift.modelfile import load, save
-from vineshift.rvine import fit_vine, prim_max_spanning_tree
+from vineshift.rvine import fit_vine
 from vineshift.statcore import kendall_tau, rank_pseudo_observations
 from vineshift.synth import (copula_flip_pair, gaussian_copula_chain,
                              get_generator, marginal_shift_pair)
+
+from spanning_trees import dense_prim
 
 
 _CAPTURE = None
@@ -201,7 +203,7 @@ def test_c05_mst_oracle():
         W = rng.uniform(size=(m, m))
         W = 0.5 * (W + W.T)
         np.fill_diagonal(W, 0.0)
-        if set(prim_max_spanning_tree(W)) == exhaustive(W):
+        if set(dense_prim(W)) == exhaustive(W):
             agree += 1
     report(5, agree == 100,
            f"prim matched exhaustive enumeration on {agree}/100 matrices, d <= 6")

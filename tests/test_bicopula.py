@@ -56,6 +56,13 @@ class TestKernelCopulaBasics:
         with pytest.raises(ValueError):
             KernelCopula.fit([0.0, 0.5], [0.5, 0.5])
 
+    def test_fit_refuses_nan_by_its_argument(self):
+        # a nan pseudo-observation was refused only as "z_centers must be finite"
+        with pytest.raises(ValueError, match="^u must lie strictly in"):
+            KernelCopula.fit([np.nan, 0.5, 0.2], [0.3, 0.6, 0.1])
+        with pytest.raises(ValueError, match="^v must lie strictly in"):
+            KernelCopula.fit([0.3, 0.6, 0.1], [0.5, np.nan, 0.2])
+
     def test_fit_stores_transformed_points(self):
         u = np.array([0.2, 0.5, 0.9])
         v = np.array([0.4, 0.6, 0.3])

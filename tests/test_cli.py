@@ -92,6 +92,15 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_shifted_regression_without_feature_3_exits_3(self, tmp_path, capsys, d):
+        # REGRESSION_SHIFTS widens feature 3; this used to end in an IndexError (exit 5)
+        out = tmp_path / "g.csv"
+        assert run("gen", "regression-shifted", "-o", out, "-n", 20, "-d", d) == 3
+        assert capsys.readouterr().err == \
+            f"error: shift column 3 is not a feature: features are 0..{d - 2}\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_report_and_reproducibility(self, tmp_path, capsys):

@@ -17,6 +17,8 @@ from vineshift.rvine import (VineEdge, VineTree, base_samples, build_first_tree,
 from vineshift.statcore import kendall_tau, rank_pseudo_observations
 from vineshift.synth import gaussian_copula_chain, regression_task
 
+from spanning_trees import dense_prim
+
 
 def copy_trees(trees):
     """The trees with every edge copied, so setting a copula leaves trees as they are."""
@@ -61,19 +63,56 @@ def random_samples(prev, n, rng):
 
 
 def per_pair_tree(nodes, F, adjacent):
-    """Weights, mask and Prim tree from one 1-d kendall_tau call per candidate pair."""
-    m = len(nodes)
-    W = np.zeros((m, m))
-    valid = np.zeros((m, m), dtype=bool)
-    pair = {}
-    for p, q in itertools.combinations(range(m), 2):
+    """Candidates and Prim tree from one 1-d kendall_tau call per candidate pair."""
+    candidates = []
+    for p, q in itertools.combinations(range(len(nodes)), 2):
         if adjacent(p, q):
             (a,), (b,) = nodes[p] - nodes[q], nodes[q] - nodes[p]
             D = nodes[p] & nodes[q]
-            W[p, q] = W[q, p] = abs(kendall_tau(F[a, D], F[b, D]))
-            valid[p, q] = valid[q, p] = True
-            pair[p, q] = pair[q, p] = tuple(sorted((a, b)))
-    return W, valid, prim_max_spanning_tree(W, valid, edge_key=lambda i, j: pair[i, j])
+            candidates.append((abs(kendall_tau(F[a, D], F[b, D])), tuple(sorted((a, b))), p, q))
+    return candidates, prim_max_spanning_tree(len(nodes), candidates)
+
+
+def dense_weights(m, candidates):
+    """The (m, m) weight matrix, validity mask and key map a candidate list spells out."""
+    W = np.zeros((m, m))
+    valid = np.zeros((m, m), dtype=bool)
+    key = {}
+    for w, k, p, q in candidates:
+        W[p, q] = W[q, p] = w
+        valid[p, q] = valid[q, p] = True
+        key[p, q] = key[q, p] = k
+    return W, valid, key
+
+
+def scan_prim(weights, valid=None, edge_key=None):
+    """prim_max_spanning_tree as it was when it took a dense weight matrix.
+
+    Kept unchanged as the oracle for the sorted candidate list: every
+    step rescans each (in-tree, outside) cell of weights.
+    """
+    m = weights.shape[0]
+    if edge_key is None:
+        edge_key = lambda i, j: (min(i, j), max(i, j))
+    in_tree = [0]
+    outside = set(range(1, m))
+    edges: list[tuple[int, int]] = []
+    while outside:
+        best = None
+        for i in in_tree:
+            for j in outside:
+                if valid is not None and not valid[i, j]:
+                    continue
+                cand = (weights[i, j], edge_key(i, j), i, j)
+                if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                    best = cand
+        if best is None:
+            raise StructureError("candidate graph is disconnected")
+        _, _, i, j = best
+        edges.append((min(i, j), max(i, j)))
+        in_tree.append(j)
+        outside.remove(j)
+    return edges
 
 
 def recursive_conditional_cdf(model, var, value, conditioning=None):
@@ -123,7 +162,7 @@ def recursive_conditional_cdf(model, var, value, conditioning=None):
 class TestPrimMaxSpanningTree:
     def test_triangle(self):
         W = np.array([[0, 3, 1], [3, 0, 2], [1, 2, 0]], dtype=float)
-        edges = prim_max_spanning_tree(W)
+        edges = dense_prim(W)
         assert sorted(edges) == [(0, 1), (1, 2)]
 
     def test_matches_enumeration_random(self):
@@ -133,7 +172,7 @@ class TestPrimMaxSpanningTree:
             A = rng.random((m, m))
             W = (A + A.T) / 2
             np.fill_diagonal(W, 0.0)
-            edges = prim_max_spanning_tree(W)
+            edges = dense_prim(W)
             assert len(edges) == m - 1
             best_w, _ = brute_force_mst(W)
             assert_allclose(spanning_tree_weight(W, edges), best_w, rtol=1e-12)
@@ -145,7 +184,7 @@ class TestPrimMaxSpanningTree:
         # only a path 0-1-2-3 is allowed
         for i, j in [(0, 1), (1, 2), (2, 3)]:
             valid[i, j] = valid[j, i] = True
-        edges = prim_max_spanning_tree(W, valid=valid)
+        edges = dense_prim(W, valid)
         assert sorted(edges) == [(0, 1), (1, 2), (2, 3)]
 
     def test_disconnected_raises(self):
@@ -154,14 +193,44 @@ class TestPrimMaxSpanningTree:
         valid[0, 1] = valid[1, 0] = True
         valid[2, 3] = valid[3, 2] = True
         with pytest.raises(StructureError):
-            prim_max_spanning_tree(W, valid=valid)
+            dense_prim(W, valid)
 
     def test_deterministic_tie_break(self):
         W = np.ones((5, 5))
         np.fill_diagonal(W, 0.0)
-        edges = prim_max_spanning_tree(W)
+        edges = dense_prim(W)
         # lexicographically smallest pairs win on equal weights: a star at 0
         assert sorted(edges) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+
+    def test_equals_scan_oracle(self):
+        # weights from {0, 1, 2} so ties are common, about 30% of pairs
+        # masked out, and each pair keyed by a distinct variable pair as
+        # _build_tree keys it
+        rng = np.random.default_rng(29)
+        connected = disconnected = 0
+        for _ in range(2000):
+            m = int(rng.integers(2, 10))
+            variable_pairs = list(itertools.combinations(range(m + 2), 2))
+            order = rng.permutation(len(variable_pairs))
+            candidates = [(float(rng.integers(0, 3)), variable_pairs[k], i, j)
+                          for (i, j), k in zip(itertools.combinations(range(m), 2), order)
+                          if rng.random() >= 0.3]
+            W, valid, key = dense_weights(m, candidates)
+            try:
+                want = scan_prim(W, valid, edge_key=lambda i, j: key[i, j])
+            except StructureError:
+                disconnected += 1
+                with pytest.raises(StructureError):
+                    prim_max_spanning_tree(m, candidates)
+                continue
+            connected += 1
+            assert prim_max_spanning_tree(m, candidates) == want
+        assert connected >= 1000 and disconnected >= 100
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            prim_max_spanning_tree(3, [(1.0, (0, 1), 0, 1), (bad, (1, 2), 1, 2)])
 
 
 class TestEdgeAlgebra:
@@ -237,12 +306,12 @@ class TestTreeConstruction:
         build, prim = rvine._build_tree, rvine.prim_max_spanning_tree
         seen = []
 
-        def recording_prim(weights, valid=None, edge_key=None):
-            seen[-1]["weights"], seen[-1]["valid"] = weights.copy(), valid.copy()
-            return prim(weights, valid, edge_key)
+        def recording_prim(m, candidates):
+            seen[-1]["candidates"] = list(candidates)
+            return prim(m, candidates)
 
         def recording_build(level, nodes, F, adjacent):
-            seen.append({"oracle": per_pair_tree(nodes, F, adjacent)})
+            seen.append({"oracle": per_pair_tree(nodes, F, adjacent), "m": len(nodes)})
             seen[-1]["tree"] = build(level, nodes, F, adjacent)
             return seen[-1]["tree"]
 
@@ -251,12 +320,15 @@ class TestTreeConstruction:
         model = fit_vine(X, truncation=7, family="gaussian")
         assert len(seen) == 7
         for got, tree in zip(seen, model.trees, strict=True):
-            W, valid, pairs = got["oracle"]
-            assert np.array_equal(got["weights"], W)
-            assert np.array_equal(got["valid"], valid)
+            candidates, pairs = got["oracle"]
+            W, valid, key = dense_weights(got["m"], candidates)
+            weights, mask, _ = dense_weights(got["m"], got["candidates"])
+            assert np.array_equal(weights, W)
+            assert np.array_equal(mask, valid)
             assert got["tree"] is tree
             assert [e.node_pair for e in tree.edges] == pairs
             assert [e.weight for e in tree.edges] == [W[p, q] for p, q in pairs]
+            assert scan_prim(W, valid, edge_key=lambda i, j: key[i, j]) == pairs
 
     def test_proximity_condition_blocks_nonadjacent(self):
         # parents {0,1} and {2,3} share no node: the only valid T2 edges

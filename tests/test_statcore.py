@@ -115,6 +115,13 @@ class TestGaussianKernel1D:
             with pytest.raises(ValueError):
                 m.quantile(p)
 
+    def test_quantile_rejects_nan(self):
+        # nan <= 0 and nan >= 1 are both false: nan once came back as -5.0
+        m = GaussianKernel1D(centers=[0.0, 1.0, 2.0], bandwidth=0.5)
+        for p in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="^quantile argument must lie strictly in"):
+                m.quantile(p)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianKernel1D(centers=[], bandwidth=1.0)
