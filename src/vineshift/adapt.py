@@ -107,20 +107,6 @@ class AdaptationReport:
         return "\n".join(lines)
 
 
-def _aligned(ds: Dataset, names: list, missing_ok=frozenset()) -> np.ndarray:
-    """Columns of ds rearranged to the model's order; nan where allowed absent."""
-    extra = [c for c in ds.names if c not in names]
-    if extra:
-        raise SchemaError(f"unexpected columns {extra}; model knows {names}")
-    out = np.full((ds.n, len(names)), np.nan)
-    for idx, name in enumerate(names):
-        if name in ds.names:
-            out[:, idx] = ds.column(name)
-        elif name not in missing_ok:
-            raise SchemaError(f"missing column '{name}'")
-    return out
-
-
 def _factor_config(cfg: MmdConfig, factor_id: str) -> MmdConfig:
     """Per-factor test config with a seed derived by stable hashing."""
     ss = np.random.SeedSequence(entropy=int(cfg.seed),
@@ -148,19 +134,18 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     cfg = inp.mmd_config
 
     # -- ingest and align --------------------------------------------------
-    Xs = _aligned(inp.source, names)
+    Xs = inp.source.aligned(names)
     blocks = []
     lab_rows = 0
     if inp.target_labeled is not None and inp.target_labeled.n:
-        T = _aligned(inp.target_labeled, names,
-                     missing_ok={y_name} if unsup else frozenset())
+        T = inp.target_labeled.aligned(names, missing_ok={y_name} if unsup else ())
         if unsup:
             T[:, y] = np.nan  # audit guarantee: unsupervised never reads y
         else:
             lab_rows = T.shape[0]
         blocks.append(T)
     if inp.target_unlabeled is not None and inp.target_unlabeled.n:
-        T = _aligned(inp.target_unlabeled, names, missing_ok={y_name})
+        T = inp.target_unlabeled.aligned(names, missing_ok={y_name})
         if not np.all(np.isnan(T[:, y])):
             raise SchemaError("target_unlabeled must not carry the target column")
         blocks.append(T)

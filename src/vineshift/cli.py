@@ -3,7 +3,9 @@
 Subcommands cover the whole workflow: generate synthetic CSVs, fit a
 vine density model, benchmark density estimators, adapt a fitted model
 to target-task data, predict and evaluate on test rows, and run a
-standalone two-sample test.
+standalone two-sample test. predict and eval match a CSV's columns to
+the model's variables by name, and predict --log-density reports the
+model's log p(y | x) at each observed target.
 
 Exit codes: 0 ok (mmd-test: no shift detected), 1 mmd-test rejection,
 2 parse error, 3 degenerate, insufficient or otherwise invalid data or
@@ -20,13 +22,12 @@ import time
 import numpy as np
 
 from . import bench, modelfile, synth
-from .adapt import AdaptationInput, _aligned, adapt_vine
+from .adapt import AdaptationInput, adapt_vine
 from .dataio import Dataset, read_csv, write_csv
 from .errors import (DegenerateDataError, InsufficientDataError, ParseError,
                      SchemaError, StructureError)
 from .mmd import MmdConfig, permutation_test
-from .regress import (_point_predictions, conditional_density_batch, default_grid,
-                      evaluate, feature_indices)
+from .regress import conditional_densities, default_grid, evaluate, feature_indices
 from .rvine import COPULA_FAMILIES, fit_vine
 
 EXIT_OK = 0
@@ -68,14 +69,6 @@ def _source_dataset(model) -> Dataset:
                           "this model was already adapted")
     X = np.column_stack([np.asarray(m.centers, dtype=float) for m in model.marginals])
     return Dataset(list(model.variable_names), X)
-
-
-def _feature_table(model, ds: Dataset) -> np.ndarray:
-    """Feature columns of ds in model order; the target column may be absent."""
-    y = model.target_index
-    names = model.variable_names
-    X = _aligned(ds, names, missing_ok={names[y]})
-    return X[:, feature_indices(model)]
 
 
 def cmd_fit(args) -> int:
@@ -161,29 +154,22 @@ def cmd_adapt(args) -> int:
 def cmd_predict(args) -> int:
     model = _target_model(args.model)
     ds = read_csv(args.test)
-    X_feat = _feature_table(model, ds)
+    names, y = model.variable_names, model.target_index
+    X = ds.aligned(names, missing_ok=() if args.log_density else {names[y]})
     grid = default_grid(model, args.grid_points)
-    dens = conditional_density_batch(model, X_feat, grid)
-    cols = [("prediction", _point_predictions(dens, grid, "mean"))]
+    dens, log_density = conditional_densities(model, X[:, feature_indices(model)], grid,
+                                              X[:, y] if args.log_density else None)
+    cols = {"prediction": grid.mean(dens)}
     if args.log_density:
-        y_name = model.variable_names[model.target_index]
-        if y_name not in ds.names:
-            raise SchemaError(f"--log-density needs the '{y_name}' column")
-        y = ds.column(y_name)
-        vals = np.array([np.interp(y[r], grid.points, dens[r]) for r in range(ds.n)])
-        cols.append(("log_density", np.log(np.maximum(vals, 1e-300))))
-    out = Dataset([c for c, _ in cols], np.column_stack([v for _, v in cols]))
-    write_csv(args.output, out)
+        cols["log_density"] = log_density
+    write_csv(args.output, Dataset(list(cols), np.column_stack(list(cols.values()))))
     print(f"wrote {ds.n} predictions to {args.output}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     model = _target_model(args.model)
-    ds = read_csv(args.test)
-    X = _aligned(ds, model.variable_names)
-    aligned = Dataset(list(model.variable_names), X)
-    metrics = evaluate(model, aligned, default_grid(model, args.grid_points))
+    metrics = evaluate(model, read_csv(args.test), default_grid(model, args.grid_points))
     print(f"NMSE: {metrics.nmse:.6f}")
     print(f"TLL:  {metrics.tll:.6f}")
     return EXIT_OK
@@ -264,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("-o", "--output", required=True, help="predictions CSV")
     pr.add_argument("--grid-points", type=int, default=257)
     pr.add_argument("--log-density", action="store_true",
-                    help="also report log conditional density of observed targets")
+                    help="also report log p(y | x) at the observed target, "
+                         "normalised over the grid (needs the target column)")
     pr.set_defaults(func=cmd_predict)
 
     ev = sub.add_parser("eval", help="NMSE and test log-likelihood on a test CSV")

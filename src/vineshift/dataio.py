@@ -1,8 +1,9 @@
 """CSV ingestion and the in-memory dataset container.
 
 CSV files are RFC-4180 style: UTF-8, comma separated, decimal points,
-a mandatory header row. Column order defines variable indices. Every
-cell must hold a finite number; nan and inf are parse errors.
+a mandatory header row. Column order defines variable indices at fit;
+later uses match columns by name (Dataset.aligned). Every cell must
+hold a finite number; nan and inf are parse errors.
 """
 
 from __future__ import annotations
@@ -44,6 +45,22 @@ class Dataset:
             return self.X[:, self.names.index(name)]
         except ValueError:
             raise SchemaError(f"no column named '{name}'") from None
+
+    def aligned(self, names, missing_ok=()) -> np.ndarray:
+        """The columns called names, in that order; one in missing_ok may be absent (nan).
+
+        Any other absent column, or a column not in names, is a SchemaError.
+        """
+        extra = [c for c in self.names if c not in names]
+        if extra:
+            raise SchemaError(f"unexpected columns {extra}; model knows {names}")
+        out = np.full((self.n, len(names)), np.nan)
+        for idx, name in enumerate(names):
+            if name in self.names:
+                out[:, idx] = self.column(name)
+            elif name not in missing_ok:
+                raise SchemaError(f"missing column '{name}'")
+        return out
 
     def target_index(self, name: str | None = None) -> int:
         """Resolve the target column: by name, default last column."""

@@ -7,7 +7,9 @@ constant in y and cancel when the product is normalized over a grid:
     p(y | x)  ~  p_y(y) * prod_{edges e with y in N(e)} c_e(...)
 
 The grid spans the target marginal's [0.001, 0.999] quantile range
-expanded by 10 percent, and normalization is trapezoidal.
+expanded by 10 percent, and normalization is trapezoidal; one
+evaluation gives the grid densities and, at observed targets, log
+p(y | x) under the grid's normaliser. Test rows match variables by name.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
-from .errors import DegenerateDataError, SchemaError
+from .errors import DegenerateDataError
 from .rvine import VineModel
 
 
@@ -29,8 +31,12 @@ class YGrid:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float).ravel())
         if self.points.size < 33:
             raise ValueError("grid needs at least 33 points")
-        if np.any(np.diff(self.points) <= 0.0):
-            raise ValueError("grid points must be strictly increasing")
+        if not (np.isfinite(self.points).all() and np.all(np.diff(self.points) > 0.0)):
+            raise ValueError("grid points must be finite and strictly increasing")
+
+    def mean(self, densities: np.ndarray) -> np.ndarray:
+        """Mean of each row of densities over the points, by the trapezoid rule."""
+        return np.trapezoid(densities * self.points, self.points, axis=1)
 
 
 @dataclass(frozen=True)
@@ -59,30 +65,45 @@ def feature_indices(vine: VineModel) -> list:
     return [i for i in range(vine.dim) if i != y]
 
 
-def conditional_density_batch(vine: VineModel, X_feat, grid: YGrid) -> np.ndarray:
-    """Normalized conditional densities, one row per feature vector.
+def conditional_densities(vine: VineModel, X_feat, grid: YGrid, y=None):
+    """Normalized conditional densities over grid, and log p(y | x) at observed y.
 
     X_feat columns follow the model's variable order with the target
-    column removed. Output row r integrates to 1 over grid.points by the
-    trapezoid rule.
+    column removed. Row r of the densities integrates to 1 over
+    grid.points by the trapezoid rule. Given y, one observed target per
+    row, the second result is the model's log conditional density at
+    each y, evaluated there and normalised like the densities, so it is
+    finite past the grid's ends too; without y it is None.
     """
-    y = _require_target(vine)
+    t = _require_target(vine)
     feats = feature_indices(vine)
     Xf = np.atleast_2d(np.asarray(X_feat, dtype=float))
     if Xf.shape[1] != len(feats):
         raise ValueError(f"expected {len(feats)} feature columns, got {Xf.shape[1]}")
 
-    # The vine's sum of the log factors over y, with the features as (m, 1)
-    # columns and the grid as a (1, g) row: a factor over y runs on the
-    # (m, g) cross product, and feature-only h-functions run on m rows.
+    # The vine's sum of the log factors over the target, with the features
+    # as (m, 1) columns and the grid as a (1, g) row: a factor over the
+    # target runs on the (m, g) cross product, and feature-only
+    # h-functions run on m rows.
     columns = [x[:, None] for x in Xf.T]
-    columns.insert(y, grid.points[None, :])
-    logd = vine._log_factors(columns, involving=y)
+    columns.insert(t, grid.points[None, :])
+    logd = vine._log_factors(columns, involving=t)
 
-    logd -= logd.max(axis=1, keepdims=True)
+    shift = logd.max(axis=1, keepdims=True)
+    logd -= shift
     dens = np.exp(logd)
-    dens /= np.trapezoid(dens, grid.points, axis=1)[:, None]
-    return dens
+    mass = np.trapezoid(dens, grid.points, axis=1)[:, None]
+    dens /= mass
+    if y is None:
+        return dens, None
+    # the same sum at each observed y, an (m, 1) column, under the grid's normaliser
+    columns[t] = np.asarray(y, dtype=float)[:, None]
+    return dens, (vine._log_factors(columns, involving=t) - shift - np.log(mass))[:, 0]
+
+
+def conditional_density_batch(vine: VineModel, X_feat, grid: YGrid) -> np.ndarray:
+    """Normalized conditional densities, one row per feature vector."""
+    return conditional_densities(vine, X_feat, grid)[0]
 
 
 def conditional_density(vine: VineModel, x_feat, grid: YGrid) -> np.ndarray:
@@ -90,27 +111,11 @@ def conditional_density(vine: VineModel, x_feat, grid: YGrid) -> np.ndarray:
     return conditional_density_batch(vine, np.asarray(x_feat, dtype=float)[None, :], grid)[0]
 
 
-def predict_means(vine: VineModel, X_feat, grid: YGrid | None = None,
-                  point: str = "mean") -> np.ndarray:
-    """Point predictions from the conditional density (mean or median)."""
+def predict_means(vine: VineModel, X_feat, grid: YGrid | None = None) -> np.ndarray:
+    """Conditional-mean predictions, one per feature vector."""
     if grid is None:
         grid = default_grid(vine)
-    return _point_predictions(conditional_density_batch(vine, X_feat, grid), grid, point)
-
-
-def _point_predictions(dens: np.ndarray, grid: YGrid, point: str) -> np.ndarray:
-    """Mean or median of each row of conditional densities over grid."""
-    if point == "mean":
-        return np.trapezoid(dens * grid.points, grid.points, axis=1)
-    if point == "median":
-        half = np.concatenate([np.zeros((dens.shape[0], 1)),
-                               np.cumsum((dens[:, 1:] + dens[:, :-1]) * 0.5
-                                         * np.diff(grid.points), axis=1)], axis=1)
-        out = np.empty(dens.shape[0])
-        for r in range(dens.shape[0]):
-            out[r] = np.interp(0.5, half[r], grid.points)
-        return out
-    raise ValueError("point must be 'mean' or 'median'")
+    return grid.mean(conditional_density_batch(vine, X_feat, grid))
 
 
 def nmse(predictions, truth) -> float:
@@ -125,25 +130,17 @@ def nmse(predictions, truth) -> float:
     return float(np.mean((p - t) ** 2) / var)
 
 
-def _test_rows(vine: VineModel, test) -> np.ndarray:
-    """Rows of a Dataset whose columns are the model's variables, or of an array."""
-    if isinstance(test, Dataset):
-        if test.names != vine.variable_names:
-            raise SchemaError("test columns do not match the model's variables")
-        return test.X
-    return np.asarray(test, dtype=float)
-
-
 def test_log_likelihood(vine: VineModel, test) -> float:
-    """Mean log density over test rows."""
-    return float(np.mean(vine.log_density(_test_rows(vine, test))))
+    """Mean log density over test rows: a Dataset, matched by name, or an array."""
+    X = test.aligned(vine.variable_names) if isinstance(test, Dataset) else test
+    return float(np.mean(vine.log_density(X)))
 
 
 def evaluate(vine: VineModel, test: Dataset,
              grid: YGrid | None = None) -> RegressionMetrics:
-    """NMSE of conditional-mean predictions plus mean test log density."""
+    """NMSE of conditional-mean predictions plus mean test log density, columns by name."""
     y = _require_target(vine)
-    X = _test_rows(vine, test)
+    X = test.aligned(vine.variable_names)
     if grid is None:
         grid = default_grid(vine)
     preds = predict_means(vine, X[:, feature_indices(vine)], grid)
@@ -153,6 +150,7 @@ def evaluate(vine: VineModel, test: Dataset,
 __all__ = [
     "RegressionMetrics",
     "YGrid",
+    "conditional_densities",
     "conditional_density",
     "conditional_density_batch",
     "default_grid",

@@ -185,10 +185,11 @@ class GaussianKernel1D:
         step = 10.0 * self.bandwidth
         lo = np.full(p.shape, float(self.centers.min()) - step)
         hi = np.full(p.shape, float(self.centers.max()) + step)
+        # each widening moves at least one ulp, also where step is below it
         while (low := self.cdf(lo) > p).any():
-            lo[low] -= step
+            lo[low] = np.minimum(lo[low] - step, np.nextafter(lo[low], -np.inf))
         while (high := self.cdf(hi) < p).any():
-            hi[high] += step
+            hi[high] = np.maximum(hi[high] + step, np.nextafter(hi[high], np.inf))
         tol = 1e-12 * self.bandwidth
         active = np.arange(p.size)
         while active.size:

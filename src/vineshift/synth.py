@@ -126,27 +126,32 @@ def regression_task(n: int, rng, d: int = 10, noise: float = 0.4,
 REGRESSION_SHIFTS = {0: (1.0, 1.0), 3: (0.0, 1.6)}
 
 
+# Each generator's function and the parameters it takes, with their defaults.
+GENERATORS = {
+    "gaussian-chain": (gaussian_copula_chain, {"d": 8, "rho": 0.6, "marginals": ("gauss",)}),
+    "bimodal-chain": (bimodal_copula_chain, {"d": 8, "rho": 0.9, "mix_weight": 0.7}),
+    "regression": (regression_task, {"d": 10, "rho": 0.6, "noise": 0.4}),
+    "regression-shifted": (lambda n, **kw: regression_task(n, shifts=REGRESSION_SHIFTS, **kw),
+                           {"d": 10, "rho": 0.6, "noise": 0.4}),
+}
+
+
 def get_generator(name: str, **params):
-    """Resolve a generator spec string to a callable(n, rng) -> Dataset."""
+    """Resolve a generator spec string to a callable(n, rng) -> Dataset.
+
+    A parameter the generator does not take is refused with a ValueError.
+    """
     name = {"gaussian-copula-chain": "gaussian-chain",
             "bimodal-copula-chain": "bimodal-chain"}.get(name, name)
-    rho = params.get("rho", 0.6)
-    d = params.get("d", 8)
-    if name == "gaussian-chain":
-        marg = params.get("marginals", ("gauss",))
-        return lambda n, rng: gaussian_copula_chain(n, d, rho, rng, marginals=marg)
-    if name == "bimodal-chain":
-        w = params.get("mix_weight", 0.7)
-        r = params.get("rho", 0.9)
-        return lambda n, rng: bimodal_copula_chain(n, d, r, rng, mix_weight=w)
-    if name == "regression":
-        noise = params.get("noise", 0.4)
-        return lambda n, rng: regression_task(n, rng, d=params.get("d", 10), noise=noise, rho=rho)
-    if name == "regression-shifted":
-        noise = params.get("noise", 0.4)
-        return lambda n, rng: regression_task(n, rng, d=params.get("d", 10), noise=noise,
-                                              rho=rho, shifts=REGRESSION_SHIFTS)
-    raise ParseError(f"unknown generator '{name}'")
+    if name not in GENERATORS:
+        raise ParseError(f"unknown generator '{name}'")
+    make, defaults = GENERATORS[name]
+    unread = sorted(set(params) - set(defaults))
+    if unread:
+        raise ValueError(f"generator '{name}' takes no {', '.join(unread)}; "
+                         f"it takes {', '.join(defaults)}")
+    kwargs = {**defaults, **params}
+    return lambda n, rng: make(n, rng=rng, **kwargs)
 
 
 __all__ = [

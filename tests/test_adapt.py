@@ -312,6 +312,12 @@ class TestInputValidation:
                 target_unlabeled=None, target_index=7, mode="supervised"))
 
 
+    def test_target_index_disagreeing_with_the_model(self):
+        with pytest.raises(ValueError, match="^target_index disagrees with the fitted model$"):
+            adapt_vine(self.model, AdaptationInput(
+                source=self.src, target_labeled=self.tgt,
+                target_unlabeled=None, target_index=1, mode="supervised"))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where, message", [
         ("source", "source rows"), ("target feature", "non-finite feature values"),
@@ -369,6 +375,11 @@ class TestReportConsistency:
         assert (report.n_changed_marginals, report.n_changed_copulas) == (2, 1)
         assert AdaptationReport(decisions=[]).n_changed_marginals == 0
         assert "changed marginals: 2" in report.summary()
+
+    def test_summary_ends_with_one_line_per_warning(self):
+        report = AdaptationReport(decisions=[], warnings=["first thing", "second thing"])
+        assert report.summary().splitlines()[-2:] == ["warning: first thing",
+                                                      "warning: second thing"]
 
     def test_summary_mentions_every_factor(self):
         rng = np.random.default_rng(11)

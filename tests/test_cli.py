@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from vineshift import cli, modelfile
 from vineshift.cli import main
 from vineshift.dataio import Dataset, read_csv, write_csv
 from vineshift.mmd import MmdConfig, permutation_test
+from vineshift.regress import conditional_density_batch, default_grid
 
 from model_docs import as_v1, b64, floats
 
@@ -90,6 +92,26 @@ class TestGen:
         out = tmp_path / "g.csv"
         assert run("gen", generator, "-o", out, "-n", 20, *flags) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator,flags,unread", [
+        pytest.param("gaussian-chain", ["--noise", 0.3, "--mix-weight", 0.2],
+                     "mix_weight, noise", id="chain_noise_and_mix_weight"),
+        pytest.param("regression", ["--marginals", "exp,uniform"], "marginals",
+                     id="regression_marginals"),
+        pytest.param("bimodal-chain", ["--marginals", "lognormal"], "marginals",
+                     id="bimodal_marginals"),
+        pytest.param("regression-shifted", ["--rho", 0.5, "--mix-weight", 0.5], "mix_weight",
+                     id="shifted_mix_weight"),
+    ])
+    def test_flag_the_generator_does_not_read_exits_3(self, tmp_path, capsys, generator,
+                                                       flags, unread):
+        # these used to exit 0 and drop the flag
+        out = tmp_path / "g.csv"
+        assert run("gen", generator, "-o", out, "-n", 20, *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: generator '{generator}' takes no {unread}; ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -223,10 +245,10 @@ class TestPredictEval:
 
         def counted(*args):
             calls.append(args)
-            return batch(*args)
+            return densities(*args)
 
-        batch = cli.conditional_density_batch
-        monkeypatch.setattr(cli, "conditional_density_batch", counted)
+        densities = cli.conditional_densities
+        monkeypatch.setattr(cli, "conditional_densities", counted)
         both, plain = tmp_path / "both.csv", tmp_path / "plain.csv"
         assert run("predict", workdir / "model.json", workdir / "test.csv",
                    "-o", both, "--log-density") == 0
@@ -234,6 +256,25 @@ class TestPredictEval:
         assert run("predict", workdir / "model.json", workdir / "test.csv", "-o", plain) == 0
         assert np.array_equal(read_csv(both).column("prediction"),
                               read_csv(plain).column("prediction"))
+
+    def test_log_density_on_the_grid_and_past_it(self, workdir, tmp_path):
+        # on a grid point: the log of the normalised grid density there;
+        # past the grid: finite and falling, where interpolation clamped
+        model = modelfile.load(workdir / "model.json")
+        grid = default_grid(model, 65)
+        test = read_csv(workdir / "test.csv")
+        X = np.repeat(test.X[:2], 3, axis=0)
+        cols = [10, 40, 64, 0, 0, 0]
+        X[:, -1] = grid.points[cols]
+        X[4:, -1] = grid.points[-1] + np.array([5.0, 50.0])
+        f, out = tmp_path / "y.csv", tmp_path / "p.csv"
+        write_csv(f, Dataset(test.names, X))
+        assert run("predict", workdir / "model.json", f, "-o", out,
+                   "--grid-points", 65, "--log-density") == 0
+        ld = read_csv(out).column("log_density")
+        dens = conditional_density_batch(model, X[:, :-1], grid)
+        assert_allclose(ld[:4], np.log(dens[np.arange(4), cols[:4]]), rtol=1e-12)
+        assert np.all(np.isfinite(ld)) and ld[3] > ld[4] > ld[5]
 
     def test_feature_only_rows_accepted(self, workdir, tmp_path):
         feats = read_csv(workdir / "test.csv").drop("y")
@@ -255,6 +296,26 @@ class TestPredictEval:
         write_csv(f, broken)
         assert run("predict", workdir / "model.json", f,
                    "-o", tmp_path / "p.csv") == 4
+
+    def test_eval_matches_columns_by_name(self, workdir, tmp_path, capsys):
+        test = read_csv(workdir / "test.csv")
+        f = tmp_path / "reversed.csv"
+        write_csv(f, Dataset(test.names[::-1], test.X[:, ::-1]))
+        outputs = []
+        for path in (workdir / "test.csv", f):
+            assert run("eval", workdir / "model.json", path, "--grid-points", 65) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_extra_column_exits_4_with_one_line(self, workdir, tmp_path, capsys, command):
+        test = read_csv(workdir / "test.csv")
+        f = tmp_path / "extra.csv"
+        write_csv(f, Dataset(test.names + ["z"], np.column_stack([test.X, test.X[:, 0]])))
+        out = ["-o", tmp_path / "p.csv"] if command == "predict" else []
+        assert run(command, workdir / "model.json", f, *out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: unexpected columns ['z']") and err.count("\n") == 1
 
     def test_eval_metrics(self, workdir, capsys):
         assert run("eval", workdir / "model.json", workdir / "test.csv",

@@ -3,11 +3,14 @@
 A stale entry left behind by a deletion would break
 `from vineshift.<module> import *` without failing any other test. The
 package's own public names are pinned, so adding or removing one is a
-visible change to this file.
+visible change to this file. The command line uses only public names
+of the other modules.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +44,13 @@ PUBLIC = [
 def test_package_public_names_are_pinned():
     assert sorted(vineshift.__all__) == sorted(PUBLIC)
     assert len(set(vineshift.__all__)) == len(vineshift.__all__) == 37
+
+
+def test_cli_imports_no_private_name():
+    # a private helper the CLI needs belongs in its module's public surface
+    tree = ast.parse(Path(vineshift.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("vineshift"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vineshift.bicopula import IndependenceCopula
 from vineshift.errors import ParseError
 from vineshift.modelfile import (FORMAT, FORMAT_VERSION, load, model_from_doc,
                                  model_to_doc, save)
@@ -55,6 +56,18 @@ class TestRoundTrip:
         p2 = tmp_path / "b.json"
         save(model, p1)
         save(load(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_independence_edge_round_trips(self, tmp_path):
+        model = sample_model()
+        model.trees[1].edges[0].copula = IndependenceCopula()
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save(model, p1)
+        assert json.loads(p1.read_text())["trees"][1]["edges"][0]["copula"] == \
+            {"family": "independence"}
+        back = load(p1)
+        assert isinstance(back.trees[1].edges[0].copula, IndependenceCopula)
+        save(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_earlier_file_loads_and_resaves_byte_identically(self, tmp_path):

@@ -4,11 +4,11 @@ from numpy.testing import assert_allclose
 
 from vineshift.dataio import Dataset
 from vineshift.errors import DegenerateDataError, SchemaError
-from vineshift.regress import (RegressionMetrics, YGrid, conditional_density,
-                               conditional_density_batch, default_grid,
+from vineshift.regress import (RegressionMetrics, YGrid, conditional_densities,
+                               conditional_density, conditional_density_batch, default_grid,
                                evaluate, feature_indices, nmse, predict_means)
 from vineshift.regress import test_log_likelihood as mean_log_density
-from vineshift.rvine import fit_vine
+from vineshift.rvine import VineModel, fit_vine
 from vineshift.synth import regression_task
 
 
@@ -32,6 +32,15 @@ class TestYGrid:
         pts[5] = pts[4]
         with pytest.raises(ValueError):
             YGrid(pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, bad):
+        # nan fails no "diff <= 0" test, and inf at an end keeps diff positive
+        for at in (0, 20, -1):
+            pts = np.linspace(0, 1, 40)
+            pts[at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                YGrid(pts)
 
     def test_default_grid_covers_marginal(self):
         model, X = linear_pair_model()
@@ -129,24 +138,73 @@ class TestConditionalDensity:
         assert_allclose(batch, dens, rtol=1e-10)
 
 
+class TestObservedTargetLogDensity:
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_observed_targets_leave_the_grid_densities_bit_identical(self, family):
+        rng = np.random.default_rng(65)
+        ds = regression_task(200, rng, d=4)
+        model = fit_vine(ds.X, truncation=2, family=family, target_index=3)
+        grid = default_grid(model, 65)
+        dens, none = conditional_densities(model, ds.X[:7, :3], grid)
+        with_y, logp = conditional_densities(model, ds.X[:7, :3], grid, ds.X[:7, 3])
+        assert none is None
+        assert np.array_equal(dens, with_y)
+        assert np.array_equal(dens, conditional_density_batch(model, ds.X[:7, :3], grid))
+        assert logp.shape == (7,) and np.all(np.isfinite(logp))
+
+    def test_the_grid_is_evaluated_once(self, monkeypatch):
+        # the observed y are evaluated as an (m, 1) column, not with the grid
+        shapes = []
+
+        def recorded(self, columns, involving=None):
+            shapes.append(np.shape(columns[involving]))
+            return log_factors(self, columns, involving)
+
+        log_factors = VineModel._log_factors
+        monkeypatch.setattr(VineModel, "_log_factors", recorded)
+        model, X = linear_pair_model()
+        conditional_densities(model, X[:6, [0]], default_grid(model, 65), X[:6, 1])
+        assert shapes == [(1, 65), (6, 1)]
+
+    def test_on_a_grid_point_equals_the_log_grid_density(self):
+        model, X = linear_pair_model()
+        grid = default_grid(model, 65)
+        cols = np.array([3, 20, 32, 50, 64])
+        dens, logp = conditional_densities(model, X[:5, [0]], grid, grid.points[cols])
+        assert_allclose(logp, np.log(dens[np.arange(5), cols]), rtol=1e-12)
+
+    def test_matches_the_joint_density_normalised_over_the_grid(self):
+        # independent oracle: log p(x, y) minus the log of the grid's
+        # trapezoid mass of p(x, .), both through VineModel.log_density
+        rng = np.random.default_rng(66)
+        ds = regression_task(250, rng, d=5)
+        model = fit_vine(ds.X, truncation=3, target_index=4)
+        grid = default_grid(model, 65)
+        test = regression_task(6, rng, d=5).X
+        _, logp = conditional_densities(model, test[:, :4], grid, test[:, 4])
+        g = grid.points.size
+        rows = np.column_stack([np.repeat(test[:, :4], g, axis=0), np.tile(grid.points, 6)])
+        logd = model.log_density(rows).reshape(6, g)
+        top = logd.max(axis=1)
+        mass = np.trapezoid(np.exp(logd - top[:, None]), grid.points, axis=1)
+        assert_allclose(logp, model.log_density(test) - top - np.log(mass), rtol=1e-10)
+
+    def test_targets_past_the_grid_are_finite_and_decreasing(self):
+        model, X = linear_pair_model()
+        grid = default_grid(model, 65)
+        x = np.repeat(X[:1, [0]], 4, axis=0)
+        y = grid.points[-1] + np.array([0.0, 5.0, 50.0, 500.0])
+        _, logp = conditional_densities(model, x, grid, y)
+        assert np.all(np.isfinite(logp))
+        assert np.all(np.diff(logp) < 0.0)
+
+
 class TestPrediction:
     def test_recovers_linear_response(self):
         model, X = linear_pair_model(n=1500, slope=2.0, noise=0.2)
         xs = np.array([[-1.5], [-0.5], [0.5], [1.5]])
         preds = predict_means(model, xs)
         assert_allclose(preds, 2.0 * xs[:, 0], atol=0.25)
-
-    def test_mean_median_close_for_symmetric_noise(self):
-        model, _ = linear_pair_model(n=1000)
-        xs = np.array([[0.3]])
-        mean = predict_means(model, xs, point="mean")[0]
-        med = predict_means(model, xs, point="median")[0]
-        assert abs(mean - med) < 0.1
-
-    def test_unknown_point_rule(self):
-        model, _ = linear_pair_model()
-        with pytest.raises(ValueError):
-            predict_means(model, np.array([[0.0]]), point="mode")
 
 
 class TestMetrics:
@@ -177,6 +235,20 @@ class TestMetrics:
         bad = Dataset(["a", "b"], X[:30])
         with pytest.raises(SchemaError):
             mean_log_density(model, bad)
+
+    def test_evaluate_matches_columns_by_name(self):
+        rng = np.random.default_rng(67)
+        ds = regression_task(200, rng, d=4)
+        model = fit_vine(ds.X, truncation=2, variable_names=ds.names, target_index=3)
+        test = regression_task(40, rng, d=4)
+        reversed_ = Dataset(test.names[::-1], test.X[:, ::-1])
+        assert evaluate(model, reversed_) == evaluate(model, test)
+        assert mean_log_density(model, reversed_) == mean_log_density(model, test)
+        with pytest.raises(SchemaError, match="missing column 'x1'"):
+            evaluate(model, test.drop("x1"))
+        extra = Dataset(test.names + ["z"], np.column_stack([test.X, test.X[:, 0]]))
+        with pytest.raises(SchemaError, match="unexpected columns"):
+            evaluate(model, extra)
 
     def test_evaluate_bundles_both(self):
         model, X = linear_pair_model(n=600)

@@ -109,6 +109,22 @@ class TestGaussianKernel1D:
         assert_allclose(GaussianKernel1D.fit(scale * c).quantile(p),
                         scale * GaussianKernel1D.fit(c).quantile(p), rtol=1e-10)
 
+    def test_quantile_widens_the_bracket_past_ten_bandwidths(self):
+        # the start bracket is 10 bandwidths past the outermost centres:
+        # p = 1e-300 needs about 37 of them, so the low end moves out
+        m = GaussianKernel1D(centers=[0.0, 1.0, 2.0], bandwidth=0.5)
+        q = m.quantile([1e-300, 0.5])
+        assert q[0] < -10 * 0.5
+        assert_allclose(m.cdf(q[0]), 1e-300, rtol=1e-6)
+        assert q[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_quantile_returns_where_a_bandwidth_is_below_an_ulp(self):
+        # 1e6 +- 10 bandwidths rounds to 1e6: each widening used to leave
+        # the bracket where it was, and both loops ran forever
+        m = GaussianKernel1D(centers=[1e6], bandwidth=1e-12)
+        q = m.quantile([0.1, 0.9])
+        assert np.all(np.abs(q - 1e6) <= 4 * np.spacing(1e6))
+
     def test_quantile_rejects_boundary(self):
         m = GaussianKernel1D(centers=[0.0, 1.0], bandwidth=1.0)
         for p in (0.0, 1.0, [0.5, 1.0]):

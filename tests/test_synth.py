@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from vineshift.synth import REGRESSION_SHIFTS, regression_task
+from vineshift.errors import ParseError
+from vineshift.synth import REGRESSION_SHIFTS, gaussian_copula_chain, regression_task
+
+
+class TestMarginals:
+    def test_each_marginal_maps_the_same_uniforms(self):
+        # one draw of the chain, pushed through each quantile function
+        cols = {spec: gaussian_copula_chain(200, 1, 0.6, np.random.default_rng(1),
+                                            marginals=(spec,)).X[:, 0]
+                for spec in ("gauss", "exp", "lognormal", "uniform")}
+        assert np.all((cols["uniform"] > 0.0) & (cols["uniform"] < 1.0))
+        assert_allclose(cols["lognormal"], np.exp(cols["gauss"]), rtol=1e-12)
+        assert_allclose(cols["exp"], -np.log1p(-cols["uniform"]), rtol=1e-12)
+
+    def test_unknown_marginal_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown marginal 'cauchy'"):
+            gaussian_copula_chain(10, 2, 0.6, np.random.default_rng(0),
+                                  marginals=("gauss", "cauchy"))
 
 
 class TestRegressionTaskShifts:
