@@ -40,9 +40,9 @@ sum_k A[i, k] B[j, k], a matrix product of per-axis factors: Gaussian
 cdfs or max-shifted Gaussian weights. A factor depends only on its
 axis (centres and bandwidth) and kind, and tables of the same walk
 often share an axis: tree-1 edges at one variable have equal centres,
-and so do a fitted vine and its reloaded copy. A small factor memo,
-keyed by the centres' bytes, keeps the few most recent factors, so
-such a run of tables builds each factor once. Queries are answered by cubic
+and so do a fitted vine and its reloaded copy. One factor memo keeps
+the three most recently read factors of either kind, so such a run of
+tables builds each factor once. Queries are answered by cubic
 B-spline interpolation of the table, and interpolated h-values are
 clipped to [0, 1]; they differ from the exact sums by about 1e-5. The
 spline is scipy.ndimage's (spline_filter for the coefficients,
@@ -68,7 +68,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -98,15 +97,15 @@ _Z_MAX = float(-ndtri(EPS))
 # nodes (2 MB each).
 _MEMO_BYTES = 3 << 20
 
-# Axis factors the factor memo keeps: the most recent Gaussian-cdf factor
-# and the two most recent weight factors, none over _FACTOR_BYTES (a factor
-# is nodes x n doubles, 1.26 MB at n=1200). An h table reads one factor of
-# each kind, a log c table two weight factors. A walk reads the tables of
-# the edges at one variable in a run, so one cdf slot already builds each
-# distinct cdf axis once per walk: 16 of the 28 h tables of a d=16 vine's
-# first two trees. A second weight slot saves a third of the weight builds
-# of a fit and score of such a vine at n=1200 (70 against 100).
-_FACTOR_SLOTS = {"cdf": 1, "weight": 2}
+# Axis factors the factor memo keeps: the three most recently read, of
+# either kind, none over _FACTOR_BYTES (a factor is nodes x n doubles,
+# 1.26 MB at n=1200). An h table reads a cdf and a weight factor, a log c
+# table two weight factors. A walk reads the tables of the edges at one
+# variable in a run, so three slots build each distinct cdf axis once per
+# walk (16 cdf factors for the 28 h tables of a d=16 vine's first two
+# trees) and keep the weight builds of a fit and score of such a vine at
+# n=1200 to 71; two slots would build 44 cdf and 98 weight factors.
+_FACTOR_SLOTS = 3
 _FACTOR_BYTES = 2 << 20
 
 # Below this a weight product of log c has lost its precision to underflow.
@@ -171,58 +170,45 @@ def _drop(memo: OrderedDict, limit: float, cost):
         kept -= cost(memo.popitem(last=False)[1])
 
 
-class _Factor(NamedTuple):
-    """One axis's factor matrix (nodes x centres), _MAX_NODES centres per block.
+def _build_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str):
+    """kind's factor of one axis as (blocks, peak), its blocks computed as they are read.
 
-    A "cdf" factor holds Phi((node - centre) / sigma). A "weight" factor
-    holds exp(-((node - centre) / sigma)^2 / 2 - peak[node]), so that
-    each node's largest weight is 1, and norm, its row sums, which are
-    complete once every block has been read.
+    Each block is nodes x _MAX_NODES centres. A "cdf" block holds
+    Phi((node - centre) / sigma), and peak is None. A "weight" block holds
+    exp(-((node - centre) / sigma)^2 / 2 - peak[node]), so that each node's
+    largest weight is 1.
     """
+    peak = _peak(nodes, centers, sigma) if kind == "weight" else None
 
-    blocks: Iterable[np.ndarray]
-    norm: np.ndarray | None
-    peak: np.ndarray | None
+    def block(start):
+        blk = centers[start:start + _MAX_NODES]
+        if peak is None:
+            return _kernel_cdfs(nodes, blk, sigma)
+        f = _log_kernel(nodes, blk, sigma)
+        f -= peak[:, None]
+        return np.exp(f, out=f)
 
-
-def _build_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str) -> _Factor:
-    """kind's factor of one axis, its blocks computed one at a time as they are read."""
-    weight = kind == "weight"
-    peak = _peak(nodes, centers, sigma) if weight else None
-    norm = np.zeros(nodes.size) if weight else None
-
-    def blocks():
-        for start in range(0, centers.size, _MAX_NODES):
-            blk = centers[start:start + _MAX_NODES]
-            if not weight:
-                yield _kernel_cdfs(nodes, blk, sigma)
-                continue
-            f = _log_kernel(nodes, blk, sigma)
-            f -= peak[:, None]
-            np.add(norm, np.exp(f, out=f).sum(axis=1), out=norm)
-            yield f
-
-    return _Factor(blocks(), norm, peak)
+    return map(block, range(0, centers.size, _MAX_NODES)), peak
 
 
-def _kept_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str) -> _Factor:
+def _kept_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str):
     """_build_factor's factor with every block computed, all of it read-only."""
-    factor = _build_factor(nodes, centers, sigma, kind)
-    factor = factor._replace(blocks=tuple(factor.blocks))
-    for a in (*factor.blocks, factor.norm, factor.peak):
+    blocks, peak = _build_factor(nodes, centers, sigma, kind)
+    blocks = tuple(blocks)
+    for a in (*blocks, peak):
         if a is not None:
             a.flags.writeable = False
-    return factor
+    return blocks, peak
 
 
-# kind -> ((centre bytes, sigma) -> _Factor), least recently read first.
-_factors = {kind: OrderedDict() for kind in _FACTOR_SLOTS}
+# (kind, centre bytes, sigma) -> (blocks, peak), least recently read first.
+_factors: OrderedDict = OrderedDict()
 
 
-def _axis_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str) -> _Factor:
-    """kind's factor of one axis, from the factor memo unless it is too large to keep.
+def _axis_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str):
+    """kind's (blocks, peak) of one axis, from the factor memo unless it is too large to keep.
 
-    The memo is keyed by the centres' bytes and sigma, so copulas that
+    The memo is keyed by kind, the centres' bytes and sigma, so copulas that
     share an axis (tree-1 edges at one variable, a fitted vine and its
     reloaded copy) share its factor, whichever role the axis has in each.
     A factor over _FACTOR_BYTES is computed block by block as it is read
@@ -230,11 +216,11 @@ def _axis_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str
     """
     if nodes.size * centers.size * 8 > _FACTOR_BYTES:
         return _build_factor(nodes, centers, sigma, kind)
-    return _memoised(_factors[kind], (centers.tobytes(), sigma), _kept_factor,
-                     (nodes, centers, sigma, kind), _FACTOR_SLOTS[kind], _one, reserve=1)
+    return _memoised(_factors, (kind, centers.tobytes(), sigma), _kept_factor,
+                     (nodes, centers, sigma, kind), _FACTOR_SLOTS, _one, reserve=1)
 
 
-def _one(factor: _Factor) -> int:
+def _one(factor) -> int:
     return 1
 
 
@@ -244,25 +230,29 @@ def _node_values(cop: "KernelCopula", kind: str) -> np.ndarray:
     Kernel k is a product of a z-factor and a w-factor, so each sum over
     centres is (A @ B.T)[i, j] for per-axis factor matrices: Gaussian
     cdfs on the axis an h-function is a cdf of, Gaussian weights shifted
-    so that each node's largest is 1 elsewhere. Each factor comes from
-    _axis_factor, so tables that share an axis build its factor once
-    while the factor memo keeps it. The product is summed over blocks of
-    _MAX_NODES centres in order, so the values depend on the copula
-    only, whether or not a factor was memoised.
+    so that each node's largest is 1 elsewhere; an h-function divides by
+    the row sums of its weights. Each factor comes from _axis_factor. Both
+    sums run over blocks of _MAX_NODES centres in order, so the values
+    depend on the copula only, whether or not a factor was memoised.
     """
     z, w = _nodes(cop.sigma_z), _nodes(cop.sigma_w)
-    a = _axis_factor(z, cop.z_centers, cop.sigma_z, "cdf" if kind == "cdf_u_given_v" else "weight")
-    b = _axis_factor(w, cop.w_centers, cop.sigma_w, "cdf" if kind == "cdf_v_given_u" else "weight")
+    a, peak_z = _axis_factor(z, cop.z_centers, cop.sigma_z,
+                             "cdf" if kind == "cdf_u_given_v" else "weight")
+    b, peak_w = _axis_factor(w, cop.w_centers, cop.sigma_w,
+                             "cdf" if kind == "cdf_v_given_u" else "weight")
     prod = np.zeros((z.size, w.size))
-    for a_blk, b_blk in zip(a.blocks, b.blocks):
+    norm = 0.0
+    for a_blk, b_blk in zip(a, b):
         prod += a_blk @ b_blk.T
+        if kind != "log_density":
+            norm += (b_blk if kind == "cdf_u_given_v" else a_blk).sum(axis=1)
     if kind == "cdf_u_given_v":
-        return prod / b.norm
+        return prod / norm
     if kind == "cdf_v_given_u":
-        return prod / a.norm[:, None]
+        return prod / norm[:, None]
     out = np.log(np.maximum(prod, _UNDERFLOW))
-    out += (a.peak + 0.5 * z * z)[:, None]
-    out += b.peak + 0.5 * w * w
+    out += (peak_z + 0.5 * z * z)[:, None]
+    out += peak_w + 0.5 * w * w
     out -= np.log(cop.n) + np.log(cop.sigma_z * cop.sigma_w)
     lost = np.nonzero(prod <= _UNDERFLOW)
     out[lost] = cop._log_density_z(z[lost[0]], w[lost[1]])

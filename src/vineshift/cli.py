@@ -138,8 +138,7 @@ def cmd_adapt(args) -> int:
         target_unlabeled=unlabeled,
         target_index=model.target_index,
         mode=MODE_NAMES[args.mode],
-        mmd_config=MmdConfig(permutations=args.permutations, alpha=args.alpha,
-                             seed=args.seed))
+        mmd_config=_mmd_config(args))
     adapted, report = adapt_vine(model, inp)
     modelfile.save(adapted, args.output)
     text = report.summary()
@@ -177,16 +176,27 @@ def cmd_eval(args) -> int:
 
 def cmd_mmd_test(args) -> int:
     a, b = read_csv(args.a), read_csv(args.b)
-    if a.names != b.names:
+    if set(a.names) != set(b.names):
         raise SchemaError(f"column mismatch: {a.names} vs {b.names}")
-    cfg = MmdConfig(permutations=args.permutations, alpha=args.alpha, seed=args.seed)
-    res = permutation_test(a.X, b.X, cfg)
+    res = permutation_test(a.X, b.aligned(a.names), _mmd_config(args))
     print(f"mmd^2 statistic: {res.statistic:.6g}")
     print(f"p-value:         {res.p_value:.6g}")
     print(f"bandwidth:       {res.bandwidth:.6g}")
     print("verdict:         " + ("distributions differ" if res.rejected
                                  else "no significant difference"))
     return EXIT_REJECT if res.rejected else EXIT_OK
+
+
+def _add_mmd_options(parser: argparse.ArgumentParser):
+    """--alpha, --permutations and --seed of the MMD test, defaulting to MmdConfig's."""
+    default = MmdConfig()
+    parser.add_argument("--alpha", type=float, default=default.alpha)
+    parser.add_argument("--permutations", type=int, default=default.permutations)
+    parser.add_argument("--seed", type=int, default=default.seed)
+
+
+def _mmd_config(args) -> MmdConfig:
+    return MmdConfig(permutations=args.permutations, alpha=args.alpha, seed=args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,9 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--target-unlabeled", default=None,
                    help="feature-only target CSV (no target column)")
     a.add_argument("--mode", choices=tuple(MODE_NAMES), default="semi")
-    a.add_argument("--alpha", type=float, default=0.05)
-    a.add_argument("--permutations", type=int, default=200)
-    a.add_argument("--seed", type=int, default=0)
+    _add_mmd_options(a)
     a.add_argument("--report", default=None, help="write the report text here")
     a.set_defaults(func=cmd_adapt)
 
@@ -263,9 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mmd-test", help="two-sample permutation test on two CSVs")
     m.add_argument("a")
     m.add_argument("b")
-    m.add_argument("--alpha", type=float, default=0.05)
-    m.add_argument("--permutations", type=int, default=200)
-    m.add_argument("--seed", type=int, default=0)
+    _add_mmd_options(m)
     m.set_defaults(func=cmd_mmd_test)
     return p
 

@@ -40,11 +40,14 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
+    def _index(self, name: str) -> int:
         try:
-            return self.X[:, self.names.index(name)]
+            return self.names.index(name)
         except ValueError:
             raise SchemaError(f"no column named '{name}'") from None
+
+    def column(self, name: str) -> np.ndarray:
+        return self.X[:, self._index(name)]
 
     def aligned(self, names, missing_ok=()) -> np.ndarray:
         """The columns called names, in that order; one in missing_ok may be absent (nan).
@@ -71,9 +74,8 @@ class Dataset:
         return self.names.index(name)
 
     def drop(self, name: str) -> "Dataset":
-        idx = self.target_index(name)
-        keep = [i for i in range(self.d) if i != idx]
-        return Dataset([self.names[i] for i in keep], self.X[:, keep])
+        idx = self._index(name)
+        return Dataset(self.names[:idx] + self.names[idx + 1:], np.delete(self.X, idx, axis=1))
 
 
 def _is_number(cell: str) -> bool:

@@ -236,8 +236,8 @@ def model_from_doc(doc) -> VineModel:
     if not model.trees or len(model.trees) > d - 1:
         raise ParseError(f"expected between 1 and {d - 1} trees, found {len(model.trees)}")
     for lvl, t in enumerate(model.trees, start=1):
-        if t.level != lvl or len(t.edges) != d - lvl:
-            raise ParseError(f"tree {lvl} is inconsistent with {d} variables")
+        if t.level != lvl:
+            raise ParseError(f"tree {lvl} is stored as level {t.level}")
     _check_edges(model.trees, d)
     if model.target_index is not None and not 0 <= model.target_index < d:
         raise ParseError(f"target_index {model.target_index} out of range")

@@ -56,6 +56,17 @@ class TestKernelCopulaBasics:
         with pytest.raises(ValueError):
             KernelCopula.fit([0.0, 0.5], [0.5, 0.5])
 
+    def test_fit_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^u and v must have equal length >= 2$"):
+            KernelCopula.fit([0.2, 0.5, 0.8], [0.3, 0.6])
+
+    def test_h_inverse_clamps_at_both_ends(self):
+        cop = KernelCopula([-1.0, 0.0, 1.0], [0.5, 0.0, -0.5], 0.4, 0.4)
+        assert cop.h_inverse(0.0, 0.3) == EPS
+        assert cop.h_inverse(1.0, 0.3) == 1.0 - EPS
+        u = cop.h_inverse(0.4, 0.3)
+        assert EPS < u < 1.0 - EPS and abs(cop.cdf_u_given_v(u, 0.3) - 0.4) < 1e-9
+
     def test_fit_refuses_nan_by_its_argument(self):
         # a nan pseudo-observation was refused only as "z_centers must be finite"
         with pytest.raises(ValueError, match="^u must lie strictly in"):
@@ -276,7 +287,7 @@ def oracle_node_values(cop, kind):
 
 
 def empty_factor_memos(monkeypatch):
-    monkeypatch.setattr(bicopula, "_factors", {k: OrderedDict() for k in bicopula._FACTOR_SLOTS})
+    monkeypatch.setattr(bicopula, "_factors", OrderedDict())
 
 
 def cdf_axis(cop, kind):
@@ -538,8 +549,7 @@ class TestTableMemo:
         assert shares_tree1_axes(model)
         expect = model.log_density(X)
         bicopula._tables.clear()
-        for memo in bicopula._factors.values():
-            memo.clear()
+        bicopula._factors.clear()
         start = threading.Barrier(4, timeout=60)
         results = [None] * 4
 
@@ -561,8 +571,9 @@ class TestTableMemo:
         for got in results:
             assert np.array_equal(got, expect)
         assert sum(t.nbytes for t in bicopula._tables.values()) <= bicopula._MEMO_BYTES
-        for kind, memo in bicopula._factors.items():
-            assert 0 < len(memo) <= bicopula._FACTOR_SLOTS[kind], kind
+        assert 0 < len(bicopula._factors) <= bicopula._FACTOR_SLOTS
+        for blocks, _ in bicopula._factors.values():
+            assert sum(blk.nbytes for blk in blocks) <= bicopula._FACTOR_BYTES
 
 
 class TestAxisFactors:
@@ -598,7 +609,7 @@ class TestAxisFactors:
 
     def test_equal_centres_share_a_build_unlike_another_sigma(self, monkeypatch):
         a, b = self.neighbours(200, 53)
-        wider = KernelCopula(a.z_centers, a.w_centers, 1.5 * a.sigma_z, a.sigma_w)
+        wider = KernelCopula(a.z_centers, b.w_centers, 1.5 * a.sigma_z, b.sigma_w)
         builds = record_factor_builds(monkeypatch)
         bicopula._node_values(a, "cdf_u_given_v")
         bicopula._node_values(b, "cdf_u_given_v")
@@ -607,23 +618,26 @@ class TestAxisFactors:
         assert [k for k, *_ in builds[3:]] == ["cdf"]
         assert builds[3][1:] == (a.z_centers.tobytes(), 1.5 * a.sigma_z)
 
-    def test_slots_hold_one_cdf_and_two_weight_factors(self, monkeypatch):
+    def test_slots_hold_the_three_most_recently_read_factors(self, monkeypatch):
         cops = [fitted(60, seed)[0] for seed in range(54, 58)]
         builds = record_factor_builds(monkeypatch)
         for cop in cops:
             for kind in METHODS:
                 bicopula._node_values(cop, kind)
-                for k, memo in bicopula._factors.items():
-                    assert len(memo) <= bicopula._FACTOR_SLOTS[k]
-        assert {k: len(m) for k, m in bicopula._factors.items()} == {"cdf": 1, "weight": 2}
+                assert len(bicopula._factors) <= bicopula._FACTOR_SLOTS
+        assert len(bicopula._factors) == 3
         # per copula: log c builds both weights; the h tables add the two cdfs
         assert len(builds) == 4 * len(cops)
         # the last reads were h(u|v) (cdf of z, weights of w), then h(v|u)
         # (weights of z, cdf of w)
         last = cops[-1]
         z, w = (last.z_centers.tobytes(), last.sigma_z), (last.w_centers.tobytes(), last.sigma_w)
-        assert list(bicopula._factors["weight"]) == [w, z]
-        assert list(bicopula._factors["cdf"]) == [w]
+        assert list(bicopula._factors) == [("weight", *w), ("weight", *z), ("cdf", *w)]
+        # a kept factor is a read-only (blocks, peak) pair; a cdf factor has no peak
+        for (kind, *_), (blocks, peak) in bicopula._factors.items():
+            assert (peak is None) == (kind == "cdf")
+            arrays = blocks if peak is None else (*blocks, peak)
+            assert not any(a.flags.writeable for a in arrays)
 
     def test_oldest_entry_is_dropped_before_a_build(self, monkeypatch):
         cops = [fitted(60, seed)[0] for seed in (58, 59)]
@@ -631,22 +645,23 @@ class TestAxisFactors:
         build = bicopula._build_factor
 
         def watch(nodes, centers, sigma, kind):
-            kept.append((kind, list(bicopula._factors[kind])))
+            kept.append((kind, list(bicopula._factors)))
             return build(nodes, centers, sigma, kind)
 
         monkeypatch.setattr(bicopula, "_build_factor", watch)
         for cop in cops:
             bicopula._node_values(cop, "cdf_u_given_v")
-        w0 = (cops[0].w_centers.tobytes(), cops[0].sigma_w)
-        z1, w1 = (cops[1].z_centers.tobytes(), cops[1].sigma_z), (cops[1].w_centers.tobytes(),
-                                                                 cops[1].sigma_w)
-        # the cdf of z0 is gone before the cdf of z1 is built
-        assert kept == [("cdf", []), ("weight", []),
-                        ("cdf", []), ("weight", [w0])]
+        (cdf_z0, weight_w0), (cdf_z1, weight_w1) = (
+            (("cdf", c.z_centers.tobytes(), c.sigma_z),
+             ("weight", c.w_centers.tobytes(), c.sigma_w)) for c in cops)
+        # the cdf of z0, the least recently read, is gone before w1's weights are built
+        assert kept == [("cdf", []), ("weight", [cdf_z0]),
+                        ("cdf", [cdf_z0, weight_w0]), ("weight", [weight_w0, cdf_z1])]
         bicopula._node_values(cops[1], "log_density")
         # z1's weight factor is built after w0's, the least recently read, was dropped
-        assert kept[-1] == ("weight", [w1])
-        assert list(bicopula._factors["weight"]) == [z1, w1]
+        weight_z1 = ("weight", cops[1].z_centers.tobytes(), cops[1].sigma_z)
+        assert kept[-1] == ("weight", [cdf_z1, weight_w1])
+        assert list(bicopula._factors) == [cdf_z1, weight_z1, weight_w1]
 
     def test_factor_over_the_limit_is_returned_not_kept(self, monkeypatch):
         cop = fitted(3000, 60)[0]
@@ -657,7 +672,7 @@ class TestAxisFactors:
             for kind in METHODS:
                 assert np.array_equal(bicopula._node_values(cop, kind),
                                       oracle_node_values(cop, kind)), kind
-                assert not any(bicopula._factors.values())
+                assert not bicopula._factors
         assert len(builds) == 2 * 2 * len(METHODS)
 
     def test_fit_and_score_build_each_cdf_axis_once_per_walk(self, monkeypatch):
@@ -682,7 +697,7 @@ class TestAxisFactors:
         walked()
         # 28 h tables need 28 cdf and 28 weight factors in all, over 16
         # distinct cdf axes; scoring adds 29 log c tables (58 weight factors)
-        assert counts == [(16, 26, 28), (16, 44, 57)]
+        assert counts == [(16, 27, 28), (16, 44, 57)]
 
 
 class TestGaussianCopula:

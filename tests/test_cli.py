@@ -565,6 +565,45 @@ class TestMmdTest:
         run("gen", "gaussian-copula-chain", "-o", b, "-n", 30, "-d", 4, "--seed", 0)
         assert run("mmd-test", a, b) == 4
 
+    def test_column_mismatch_names_both_column_lists(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run("gen", "gaussian-copula-chain", "-o", a, "-n", 30, "-d", 2, "--seed", 0)
+        write_csv(b, Dataset(["x0", "z"], read_csv(a).X))
+        capsys.readouterr()
+        assert run("mmd-test", a, b) == 4
+        assert capsys.readouterr().err == \
+            "error: column mismatch: ['x0', 'x1'] vs ['x0', 'z']\n"
+
+    def test_columns_are_matched_by_name(self, tmp_path, capsys):
+        # a column-reversed copy exited 4 "column mismatch"
+        a, rev = tmp_path / "a.csv", tmp_path / "rev.csv"
+        run("gen", "regression", "-o", a, "-n", 60, "-d", 4, "--seed", 0)
+        ds = read_csv(a)
+        write_csv(rev, Dataset(ds.names[::-1], ds.X[:, ::-1]))
+        capsys.readouterr()
+        outputs = []
+        for b in (a, rev):
+            assert run("mmd-test", a, b, "--permutations", 50) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "bandwidth:" in outputs[0]
+
+
+def test_mmd_commands_default_to_mmd_config(workdir, adapted, tmp_path, monkeypatch):
+    # the defaults of --alpha, --permutations and --seed are MmdConfig's
+    configs = []
+    test, adapt_vine = cli.permutation_test, cli.adapt_vine
+    monkeypatch.setattr(cli, "permutation_test",
+                        lambda a, b, cfg: configs.append(cfg) or test(a, b, cfg))
+    monkeypatch.setattr(cli, "adapt_vine",
+                        lambda model, inp: configs.append(inp.mmd_config) or adapt_vine(model, inp))
+    csv = workdir / "test.csv"
+    assert run("mmd-test", csv, csv) == 0
+    root, _ = adapted
+    assert run("adapt", workdir / "model.json", "-o", tmp_path / "adapted.json",
+               "--target-labeled", root / "labeled.csv") == 0
+    assert configs == [MmdConfig(), MmdConfig()]
+
 
 class TestDensityBench:
     def test_table_and_csv(self, tmp_path, capsys):

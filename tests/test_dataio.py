@@ -30,6 +30,11 @@ class TestDataset:
         assert out.names == ["a", "c"]
         assert_allclose(out.X, [[0.0, 2.0], [3.0, 5.0]])
 
+    def test_drop_absent_column_names_no_target(self):
+        # it said "target column 'z' not found" for a column that is not a target
+        with pytest.raises(SchemaError, match="^no column named 'z'$"):
+            Dataset(["a", "b"], np.zeros((2, 2))).drop("z")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Dataset(["a"], np.zeros(3))

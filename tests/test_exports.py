@@ -54,3 +54,23 @@ def test_cli_imports_no_private_name():
                and (node.level or (node.module or "").startswith("vineshift"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_the_package_reads_no_new_environment_variable():
+    # a setting is an argument or a config field, not a variable of the
+    # environment; modelfile reads SOURCE_DATE_EPOCH to stamp saved files
+    env = {"environ", "getenv"}
+    reads = []
+    for path in sorted(Path(vineshift.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if getattr(node, "attr", getattr(node, "id", None)) not in env:
+                continue
+            use = parent[node]
+            while not isinstance(use, (ast.Call, ast.Subscript, ast.stmt)):
+                use = parent[use]
+            first = use.args[:1] if isinstance(use, ast.Call) else [getattr(use, "slice", None)]
+            name = first[0].value if first and isinstance(first[0], ast.Constant) else None
+            reads.append((path.name, name))
+    assert reads == [("modelfile.py", "SOURCE_DATE_EPOCH")]

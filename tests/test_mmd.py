@@ -349,3 +349,13 @@ class TestNonFiniteSamples:
         out, err = capsys.readouterr()
         assert "verdict" not in out
         assert err.count("error:") == 1 and "nan or inf" in err
+
+
+def test_three_dimensional_sample_is_refused():
+    with pytest.raises(ValueError, match="^samples must be 1-d or 2-d arrays$"):
+        mmd_statistic(np.zeros((4, 2, 2)), np.zeros((4, 2)), 1.0)
+
+
+def test_median_heuristic_needs_two_pooled_rows():
+    with pytest.raises(InsufficientDataError, match="^pooled sample needs at least 2 rows$"):
+        median_heuristic(np.zeros((1, 2)), np.zeros((0, 2)))

@@ -204,6 +204,26 @@ class TestValidation:
         with pytest.raises(ParseError):
             model_from_doc(doc)
 
+    def test_zero_trees_rejected(self):
+        doc = self.make_doc()
+        doc["trees"] = []
+        with pytest.raises(ParseError, match="^expected between 1 and 3 trees, found 0$"):
+            model_from_doc(doc)
+
+    def test_stored_level_must_match_the_position(self):
+        # it said "tree 1 is inconsistent with 4 variables"
+        doc = self.make_doc()
+        doc["trees"][0]["level"] = 2
+        with pytest.raises(ParseError, match="^tree 1 is stored as level 2$"):
+            model_from_doc(doc)
+
+    def test_unknown_copula_type_is_not_saved(self, tmp_path):
+        model = sample_model(truncation=1)
+        model.trees[0].edges[0].copula = object()
+        with pytest.raises(TypeError, match="^cannot serialize copula of type object$"):
+            save(model, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
     def test_target_index_out_of_range(self):
         doc = self.make_doc()
         doc["target_index"] = 11

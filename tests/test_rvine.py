@@ -748,3 +748,35 @@ class TestWalk:
         assert all(held <= {lvl, lvl + 1} for held, lvl in
                    zip(levels, [0] * 3 + [1] * 2 + [2]))
         assert F == {}
+
+
+class TestGuards:
+    """Refused arguments of the fit, the tree builders and the density."""
+
+    def test_log_density_refuses_a_wrong_column_count(self):
+        model = fit_vine(gaussian_copula_chain(40, 3, 0.5, np.random.default_rng(0)).X)
+        with pytest.raises(ValueError, match="^expected 3 columns, got 4$"):
+            model.log_density(np.zeros((2, 4)))
+
+    def test_fit_refuses_1d_data(self):
+        with pytest.raises(ValueError, match="^data must be a 2-d array$"):
+            fit_vine(np.arange(30.0))
+
+    def test_fit_refuses_a_wrong_number_of_names(self):
+        X = gaussian_copula_chain(40, 3, 0.5, np.random.default_rng(0)).X
+        with pytest.raises(ValueError, match="^variable_names length must match column count$"):
+            fit_vine(X, variable_names=["a", "b"])
+
+    def test_first_tree_needs_two_variables_and_two_rows(self):
+        with pytest.raises(ValueError, match="^need at least 2 variables$"):
+            build_first_tree(np.full((5, 1), 0.5))
+        with pytest.raises(InsufficientDataError, match="^need at least 2 rows$"):
+            build_first_tree(np.full((1, 3), 0.5))
+
+    def test_next_tree_needs_two_edges(self):
+        U = np.column_stack([rank_pseudo_observations(c) for c in
+                             gaussian_copula_chain(30, 2, 0.5, np.random.default_rng(0)).X.T])
+        tree = build_first_tree(U)
+        assert len(tree.edges) == 1
+        with pytest.raises(ValueError, match="^previous tree needs at least 2 edges$"):
+            build_next_tree(tree, {})

@@ -473,3 +473,13 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_silverman_bandwidth_refuses_dim_0():
+    with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+        silverman_bandwidth([0.0, 1.0, 2.0], dim=0)
+
+
+def test_rank_pseudo_observations_refuses_one_row():
+    with pytest.raises(InsufficientDataError, match="needs at least 2 rows"):
+        rank_pseudo_observations([1.0])
