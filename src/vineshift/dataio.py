@@ -9,6 +9,7 @@ hold a finite number; nan and inf are parse errors.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -86,37 +87,47 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _records(path):
+    """path's CSV records; bad UTF-8 or a cell over csv.field_size_limit() is a ParseError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
+        yield from reader
+    except (UnicodeDecodeError, csv.Error) as exc:
+        row = reader.line_num if isinstance(exc, csv.Error) else raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: row {row}: {exc}") from None
+
+
 def read_csv(path) -> Dataset:
     """Parse a headered numeric CSV, with row/column diagnostics on failure."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if all(_is_number(h) for h in header):
-            raise ParseError(f"{path}: first row looks numeric; a header row is required")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    records = _records(path)
+    header = next(records, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in header]
+    if all(_is_number(h) for h in header):
+        raise ParseError(f"{path}: first row looks numeric; a header row is required")
+    rows = []
+    for line_no, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
+        parsed = []
+        for col, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise ParseError(
-                    f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
-            parsed = []
-            for col, cell in zip(header, row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {line_no}, column '{col}': non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {line_no}, column '{col}': non-finite value {cell!r}")
-                parsed.append(value)
-            rows.append(parsed)
+                    f"{path}: row {line_no}, column '{col}': non-numeric value {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {line_no}, column '{col}': non-finite value {cell!r}")
+            parsed.append(value)
+        rows.append(parsed)
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
     return Dataset(header, X)
 

@@ -16,7 +16,8 @@ it folded into the marginals.
 
 Format version 1 wrote each float array as a JSON list of numbers. It
 is still read, and its first re-save is version 2. A non-finite value
-is refused by save and by load alike.
+is refused by save and by load alike. This module only decodes: the vine
+rules are VineModel's, and load reports its refusal as a ParseError.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import operator
 import os
 
 import numpy as np
@@ -120,55 +122,14 @@ def model_to_doc(model: VineModel) -> dict:
         "trees": [
             {"level": int(t.level),
              "nodes": [sorted(int(v) for v in node) for node in t.nodes],
-             "edges": [{"conditioned": [int(v) for v in e.conditioned],
-                        "conditioning": sorted(int(v) for v in e.conditioning),
-                        "node_pair": [int(v) for v in e.node_pair],
+             "edges": [{"conditioned": list(e.conditioned),
+                        "conditioning": sorted(e.conditioning),
+                        "node_pair": list(e.node_pair),
                         "weight": float(e.weight),
                         "copula": _copula_doc(e.copula, e.label())}
                        for e in t.edges]}
             for t in model.trees],
     }
-
-
-def _check_edges(trees: list, d: int) -> None:
-    """Every edge must be the one its node_pair makes of the tree below.
-
-    A tree-1 edge joins the two variables it names; a deeper edge joins
-    two node-sharing parent edges, its conditioned pair is the symmetric
-    difference of their constraint sets and its conditioning set their
-    intersection. The edges of each tree must span its nodes. Tree 1's
-    nodes are the variables and a deeper tree's nodes are the constraint
-    sets of the edges below, in order.
-    """
-    for e in trees[0].edges:
-        if (e.conditioning or sorted(e.node_pair) != sorted(e.conditioned)
-                or not 0 <= min(e.conditioned) <= max(e.conditioned) < d):
-            raise ParseError(f"tree 1 edge {e.label()} does not join its two variables")
-    for prev, tree in zip(trees, trees[1:]):
-        for e in tree.edges:
-            if len(e.node_pair) != 2 or not all(0 <= i < len(prev.edges) for i in e.node_pair):
-                raise ParseError(f"tree {tree.level} edge {e.label()}: node_pair "
-                                 f"{list(e.node_pair)} out of range")
-            a, b = (prev.edges[i] for i in e.node_pair)
-            if (not set(a.node_pair) & set(b.node_pair)
-                    or set(e.conditioned) != a.constraint ^ b.constraint
-                    or e.conditioning != a.constraint & b.constraint):
-                raise ParseError(f"tree {tree.level} edge {e.label()} does not follow "
-                                 f"from its parent edges {list(e.node_pair)}")
-    for tree in trees:
-        # n - 1 edges span n nodes only if none of them closes a cycle
-        part = {i: {i} for i in range(len(tree.edges) + 1)}
-        for p, q in (e.node_pair for e in tree.edges):
-            if part[p] is part[q]:
-                raise ParseError(f"the edges of tree {tree.level} do not form a tree")
-            merged = part[p] | part[q]
-            part.update(dict.fromkeys(merged, merged))
-    below = [[frozenset([i]) for i in range(d)]] + [[e.constraint for e in t.edges]
-                                                    for t in trees[:-1]]
-    for tree, nodes in zip(trees, below):
-        if tree.nodes != nodes:
-            raise ParseError(f"tree {tree.level} nodes {[sorted(n) for n in tree.nodes]} "
-                             f"should be {[sorted(n) for n in nodes]}")
 
 
 def _fold_normalization(marginals: list, mean: np.ndarray, std: np.ndarray) -> list:
@@ -199,48 +160,30 @@ def model_from_doc(doc) -> VineModel:
         raise ParseError(f"unsupported format_version {version!r}")
     try:
         names = [str(s) for s in doc["variable_names"]]
-        d = len(names)
         marginals = [GaussianKernel1D(_decode(m["centers"], version, f"marginal {i} centers"),
                                       float(m["bandwidth"]))
                      for i, m in enumerate(doc["marginals"])]
         trees = []
         for lvl, t in enumerate(doc["trees"], start=1):
-            if lvl < d and len(t["nodes"]) != d - lvl + 1:
-                raise ParseError(f"tree {lvl} has {len(t['nodes'])} nodes; tree {lvl} "
-                                 f"of a {d}-variable vine has {d - lvl + 1}")
-            edges = [VineEdge(conditioned=tuple(e["conditioned"]),
-                              conditioning=frozenset(e["conditioning"]),
-                              node_pair=tuple(int(i) for i in e["node_pair"]),
-                              copula=_copula_from(e["copula"], version,
-                                                  f"tree {lvl} edge {j}"),
-                              weight=float(e["weight"]))
+            edges = [VineEdge(e["conditioned"], e["conditioning"], e["node_pair"],
+                              _copula_from(e["copula"], version, f"tree {lvl} edge {j}"),
+                              float(e["weight"]))
                      for j, e in enumerate(t["edges"])]
-            trees.append(VineTree(level=int(t["level"]),
-                                  nodes=[frozenset(v) for v in t["nodes"]],
+            trees.append(VineTree(level=operator.index(t["level"]),
+                                  nodes=[frozenset(map(operator.index, v)) for v in t["nodes"]],
                                   edges=edges))
         norm = doc.get("normalization")
         if norm is not None:
             norm = [np.asarray(norm[k], dtype=float) for k in ("mean", "std")]
         meta = dict(doc.get("fit_metadata") or {})
-        meta["created"] = int(doc["created"])
-        ti = doc.get("target_index")
-        model = VineModel(
-            marginals=marginals, trees=trees, variable_names=names,
-            target_index=None if ti is None else int(ti),
-            fit_metadata=meta)
-    except (KeyError, TypeError, ValueError, StructureError) as exc:
+        meta["created"] = operator.index(doc["created"])
+    except (KeyError, TypeError, ValueError, OverflowError, StructureError) as exc:
         raise ParseError(f"malformed model file: {exc}") from None
-
-    if len(model.marginals) != d:
-        raise ParseError("marginal count does not match variable names")
-    if not model.trees or len(model.trees) > d - 1:
-        raise ParseError(f"expected between 1 and {d - 1} trees, found {len(model.trees)}")
-    for lvl, t in enumerate(model.trees, start=1):
-        if t.level != lvl:
-            raise ParseError(f"tree {lvl} is stored as level {t.level}")
-    _check_edges(model.trees, d)
-    if model.target_index is not None and not 0 <= model.target_index < d:
-        raise ParseError(f"target_index {model.target_index} out of range")
+    try:
+        model = VineModel(marginals=marginals, trees=trees, variable_names=names,
+                          target_index=doc.get("target_index"), fit_metadata=meta)
+    except (ValueError, StructureError) as exc:
+        raise ParseError(str(exc)) from None
     if norm is not None:
         model.marginals = _fold_normalization(model.marginals, *norm)
     return model
@@ -265,7 +208,9 @@ def load(path) -> VineModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deep
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
     return model_from_doc(doc)
 

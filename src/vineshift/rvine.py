@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -104,8 +106,9 @@ class VineEdge:
     weight: float = 0.0
 
     def __post_init__(self):
-        self.conditioned = tuple(int(v) for v in self.conditioned)
-        self.conditioning = frozenset(int(i) for i in self.conditioning)
+        self.conditioned = tuple(map(operator.index, self.conditioned))
+        self.conditioning = frozenset(map(operator.index, self.conditioning))
+        self.node_pair = tuple(map(operator.index, self.node_pair))
         if len(self.conditioned) != 2 or self.conditioned[0] == self.conditioned[1]:
             raise StructureError("conditioned set must contain exactly 2 variables")
         if set(self.conditioned) & self.conditioning:
@@ -128,12 +131,6 @@ class VineTree:
     level: int
     nodes: list
     edges: list
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.nodes) - 1:
-            raise StructureError(
-                f"tree level {self.level}: {len(self.nodes)} nodes need "
-                f"{len(self.nodes) - 1} edges, got {len(self.edges)}")
 
 
 def _build_tree(level: int, nodes: list, F: dict, adjacent) -> VineTree:
@@ -250,18 +247,63 @@ def base_samples(U: np.ndarray) -> dict:
             for i, col in enumerate(U.T)}
 
 
+def _check_trees(trees: list, d: int) -> None:
+    """Raise StructureError unless trees are trees 1..t of a regular vine on d variables.
+
+    The rules are the module docstring's; tree k is stored as level k, and
+    its nodes are tree k-1's edges' constraint sets in order.
+    """
+    if not 1 <= len(trees) <= d - 1:
+        raise StructureError(f"expected between 1 and {d - 1} trees, found {len(trees)}")
+    nodes, below = [frozenset([i]) for i in range(d)], None
+    for lvl, tree in enumerate(trees, start=1):
+        m = len(nodes)
+        if tree.level != lvl:
+            raise StructureError(f"tree {lvl} is stored as level {tree.level}")
+        if tree.nodes != nodes:
+            raise StructureError(f"tree {lvl} has {len(tree.nodes)} nodes; tree {lvl} of a "
+                                 f"{d}-variable vine has {m}" if len(tree.nodes) != m else
+                                 f"tree {lvl} nodes {[sorted(n) for n in tree.nodes]} "
+                                 f"should be {[sorted(n) for n in nodes]}")
+        part = {i: {i} for i in range(m)}  # the nodes joined to each node so far
+        for e in tree.edges:
+            if len(e.node_pair) != 2 or not all(0 <= i < m for i in e.node_pair):
+                raise StructureError(f"tree {lvl} edge {e.label()}: node_pair "
+                                     f"{list(e.node_pair)} out of range")
+            p, q = e.node_pair
+            if (set(e.conditioned) != nodes[p] ^ nodes[q] or e.conditioning != nodes[p] & nodes[q]
+                    or below and not set(below[p].node_pair) & set(below[q].node_pair)):
+                raise StructureError(f"tree {lvl} edge {e.label()} does not follow from its "
+                                     f"parent edges {list(e.node_pair)}" if below else
+                                     f"tree 1 edge {e.label()} does not join its two variables")
+            merged = part[p] | part[q]
+            part.update(dict.fromkeys(merged, merged))
+        # m - 1 edges that join all m nodes form a tree
+        if len(tree.edges) != m - 1 or len(part[0]) != m:
+            raise StructureError(f"the edges of tree {lvl} do not form a tree")
+        nodes, below = [e.constraint for e in tree.edges], tree.edges
+
+
 COPULA_FAMILIES = {"kernel": KernelCopula, "gaussian": GaussianCopula}
 
 
 @dataclass
 class VineModel:
-    """Fitted truncated regular vine."""
+    """Fitted truncated regular vine; construction refuses one that breaks the vine rules."""
 
     marginals: list
     trees: list
     variable_names: list
     target_index: int | None = None
     fit_metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        d, ti = len(self.variable_names), self.target_index
+        if len(self.marginals) != d:
+            raise ValueError("marginal count does not match variable names")
+        if ti is not None and not (isinstance(ti, numbers.Integral) and 0 <= ti < d):
+            raise ValueError(f"target_index {ti} out of range")
+        _check_trees(self.trees, d)
 
     @property
     def dim(self) -> int:

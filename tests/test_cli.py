@@ -162,6 +162,29 @@ class TestFit:
         bad.write_text("a,b\n1,2\n3,oops\n")
         assert run("fit", bad, "-o", tmp_path / "m.json") == 2
 
+    @pytest.mark.parametrize("command, content, message", [
+        ("fit", b"a,b\n1,2\n3,\xff\n", "row 3: 'utf-8' codec can't decode byte 0xff"),
+        ("mmd-test", b"a,b\n1,2\n3,\xff\n", "row 3: 'utf-8' codec can't decode byte 0xff"),
+        ("fit", b"a,b\n1,2\n3," + b"4" * 131073 + b"\n", "row 3: field larger than"),
+        ("eval", b'{"format": "\xff"}', "not valid JSON"),
+        ("eval", b"[" * 200000 + b"]" * 200000, "not valid JSON"),
+        ("eval", b'{"created": ' + b"7" * 5000 + b"}", "not valid JSON")],
+        ids=["non_utf8_csv", "non_utf8_csv_mmd", "oversized_cell", "non_utf8_model",
+             "deeply_nested_model", "overlong_integer_model"])
+    def test_unreadable_bytes_exit_2_with_one_line(self, workdir, tmp_path, capsys,
+                                                   command, content, message):
+        # text that is not UTF-8, a CSV cell over csv.field_size_limit(),
+        # JSON nested past the recursion limit and an integer literal past
+        # Python's digit limit name the file they are in
+        bad = tmp_path / ("bad.json" if command == "eval" else "bad.csv")
+        bad.write_bytes(content)
+        args = {"fit": (bad, "-o", tmp_path / "m.json"), "mmd-test": (bad, bad),
+                "eval": (bad, workdir / "test.csv")}[command]
+        assert run(command, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
     def test_nan_cell_exits_2(self, tmp_path, capsys):
         train = tmp_path / "t.csv"
         run("gen", "gaussian-copula-chain", "-o", train, "-n", 60, "-d", 3, "--seed", 4)
@@ -357,12 +380,16 @@ class TestPredictEval:
                                          "nan_v1_marginal_center", "bad_base64",
                                          "partial_float", "unequal_copula_centers",
                                          "list_in_v2", "string_in_v1",
-                                         "three_conditioned", "one_conditioned"])
+                                         "three_conditioned", "one_conditioned",
+                                         "fractional_target_index", "fractional_level",
+                                         "fractional_node_pair", "fractional_created",
+                                         "huge_integer_bandwidth"])
     def test_corrupt_model_file_exits_2_with_one_line(self, workdir, tmp_path, capsys,
                                                      command, corrupt):
         # a stored float array must decode to whole, finite float64s in the
         # form its format_version uses; an edge's conditioned list must name
-        # exactly two variables
+        # exactly two variables; an integer field must hold a JSON integer,
+        # and a float field a number a float can hold
         doc = modelfile.model_to_doc(modelfile.load(workdir / "model.json"))
         edge = doc["trees"][0]["edges"][0]
         centers, z = floats(doc["marginals"][0]["centers"]), floats(edge["copula"]["z_centers"])
@@ -385,6 +412,17 @@ class TestPredictEval:
         elif corrupt == "string_in_v1":
             doc = as_v1(doc)
             doc["marginals"][0]["centers"] = b64(centers)
+        elif corrupt == "fractional_target_index":
+            doc["target_index"] -= 0.1
+        elif corrupt == "fractional_level":
+            doc["trees"][0]["level"] = 1.5
+        elif corrupt == "fractional_node_pair":
+            edge["node_pair"] = [i + 0.4 for i in edge["node_pair"]]
+        elif corrupt == "fractional_created":
+            doc["created"] = 1.7
+        elif corrupt == "huge_integer_bandwidth":
+            # a JSON integer too large for a float
+            doc["marginals"][0]["bandwidth"] = 10 ** 400
         else:
             length = 3 if corrupt == "three_conditioned" else 1
             edge["conditioned"] = (edge["conditioned"] * 2)[:length]

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vineshift.adapt import MODES, AdaptationInput, adapt_vine
 from vineshift.bicopula import IndependenceCopula
+from vineshift.dataio import Dataset
 from vineshift.errors import ParseError
 from vineshift.modelfile import (FORMAT, FORMAT_VERSION, load, model_from_doc,
                                  model_to_doc, save)
+from vineshift.mmd import MmdConfig
 from vineshift.rvine import fit_vine
 from vineshift.synth import gaussian_copula_chain
 
@@ -114,6 +117,25 @@ class TestRoundTrip:
         assert np.array_equal(v1.log_density(pts), v2.log_density(pts))
         # a version-1 document re-saves as version 2
         assert model_to_doc(v1) == doc
+
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_every_fitted_and_adapted_model_loads(self, tmp_path, family, truncation):
+        # each model fit_vine and adapt_vine return is a valid vine, so load
+        # accepts the file save writes and reads back the same document
+        rng = np.random.default_rng(76)
+        src, tgt = gaussian_copula_chain(120, 4, 0.6, rng), gaussian_copula_chain(90, 4, 0.2, rng)
+        model = fit_vine(src.X, truncation=truncation, family=family,
+                         variable_names=src.names, target_index=3)
+        models = [model] + [adapt_vine(model, AdaptationInput(
+            source=src,
+            target_labeled=None if mode == "unsupervised" else Dataset(src.names, tgt.X[:40]),
+            target_unlabeled=Dataset(src.names[:3], tgt.X[40:, :3]), target_index=3,
+            mode=mode, mmd_config=MmdConfig(permutations=50, seed=76)))[0] for mode in MODES]
+        path = tmp_path / "m.json"
+        for m in models:
+            save(m, path)
+            assert model_to_doc(load(path)) == model_to_doc(m)
 
     def test_same_fit_same_bytes(self, tmp_path):
         p1 = tmp_path / "a.json"

@@ -11,10 +11,10 @@ from vineshift.errors import (DegenerateDataError, InsufficientDataError,
 from vineshift import rvine
 from vineshift.bicopula import IndependenceCopula
 from vineshift.regress import predict_means
-from vineshift.rvine import (VineEdge, VineTree, base_samples, build_first_tree,
+from vineshift.rvine import (VineEdge, VineModel, VineTree, base_samples, build_first_tree,
                              build_next_tree, fit_vine,
                              prim_max_spanning_tree, walk)
-from vineshift.statcore import kendall_tau, rank_pseudo_observations
+from vineshift.statcore import GaussianKernel1D, kendall_tau, rank_pseudo_observations
 from vineshift.synth import gaussian_copula_chain, regression_task
 
 from spanning_trees import dense_prim
@@ -24,6 +24,24 @@ def copy_trees(trees):
     """The trees with every edge copied, so setting a copula leaves trees as they are."""
     return [VineTree(level=t.level, nodes=list(t.nodes), edges=[replace(e) for e in t.edges])
             for t in trees]
+
+
+# the first tree of path_model: the path 0-1-2-3, as (conditioned, conditioning, node_pair)
+PATH = [((0, 1), (), (0, 1)), ((1, 2), (), (1, 2)), ((2, 3), (), (2, 3))]
+
+
+def path_model(first=PATH, second=(((0, 2), {1}, (0, 1)), ((1, 3), {2}, (1, 2)))):
+    """A 4-variable VineModel built by hand, with independence copulas.
+
+    Its trees hold the edges first and, unless second is None, second.
+    """
+    trees, nodes = [], [frozenset([i]) for i in range(4)]
+    for level, spec in enumerate(filter(None, (first, second)), start=1):
+        edges = [VineEdge(c, frozenset(D), pair, IndependenceCopula()) for c, D, pair in spec]
+        trees.append(VineTree(level=level, nodes=nodes, edges=edges))
+        nodes = [e.constraint for e in edges]
+    return VineModel(marginals=[GaussianKernel1D(np.zeros(1), 1.0)] * 4, trees=trees,
+                     variable_names=list("abcd"))
 
 
 def spanning_tree_weight(weights, edges):
@@ -271,9 +289,17 @@ class TestEdgeAlgebra:
         assert all("|" in lab for lab in labels)
 
     def test_tree_edge_count_validated(self):
-        with pytest.raises(StructureError):
-            VineTree(level=1, nodes=[frozenset([0]), frozenset([1]),
-                                     frozenset([2])], edges=[])
+        # tree 1 of 4 variables needs 3 edges
+        with pytest.raises(StructureError, match="^the edges of tree 1 do not form a tree$"):
+            path_model(first=PATH[:2], second=None)
+
+    @pytest.mark.parametrize("edge", [((0, 3), {1}, (0, 1)),  # 3 is in neither parent
+                                      ((0, 2), {3}, (0, 1)),  # parents meet at 1, not 3
+                                      ((1, 3), {2}, (0, 1))])  # what parents 1 and 2 give
+    def test_second_tree_edge_contradicting_its_parents_is_refused(self, edge):
+        with pytest.raises(StructureError, match="^tree 2 edge .* does not follow from "
+                                                 r"its parent edges \[0, 1\]$"):
+            path_model(second=[edge, ((1, 3), {2}, (1, 2))])
 
 
 class TestTreeConstruction:
@@ -761,6 +787,12 @@ class TestGuards:
     def test_fit_refuses_1d_data(self):
         with pytest.raises(ValueError, match="^data must be a 2-d array$"):
             fit_vine(np.arange(30.0))
+
+    @pytest.mark.parametrize("target_index", [5, -1, 1.7])
+    def test_fit_refuses_a_target_that_is_not_a_variable_index(self, target_index):
+        X = gaussian_copula_chain(40, 3, 0.5, np.random.default_rng(0)).X
+        with pytest.raises(ValueError, match=f"^target_index {target_index} out of range$"):
+            fit_vine(X, target_index=target_index)
 
     def test_fit_refuses_a_wrong_number_of_names(self):
         X = gaussian_copula_chain(40, 3, 0.5, np.random.default_rng(0)).X
