@@ -26,7 +26,7 @@ import numpy as np
 from .dataio import Dataset
 from .errors import InsufficientDataError, SchemaError
 from .mmd import MmdConfig, permutation_test
-from .rvine import VineModel, VineTree, base_samples, walk
+from .rvine import VineModel, VineTree, _check_target, base_samples, walk
 from .statcore import GaussianKernel1D, rank_pseudo_observations
 
 # Fewer target rows than MIN_TEST: skip the factor's test and pool quietly.
@@ -42,6 +42,8 @@ MODES = ("supervised", "semi_supervised", "unsupervised")
 class AdaptationInput:
     """Samples and settings for one adaptation run.
 
+    target_index indexes the source model's variables under the model's
+    target rule, and must be the model's own target when it has one.
     target_unlabeled carries features only; its rows join every test and
     refit that does not involve the target variable. In unsupervised
     mode any y values present in target_labeled are blanked on ingest
@@ -109,7 +111,7 @@ class AdaptationReport:
 
 def _factor_config(cfg: MmdConfig, factor_id: str) -> MmdConfig:
     """Per-factor test config with a seed derived by stable hashing."""
-    ss = np.random.SeedSequence(entropy=int(cfg.seed),
+    ss = np.random.SeedSequence(entropy=cfg.seed,
                                 spawn_key=(zlib.crc32(factor_id.encode("ascii")),))
     return replace(cfg, seed=int(ss.generate_state(1)[0]))
 
@@ -124,10 +126,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     """
     names = source_vine.variable_names
     d = source_vine.dim
-    y = int(inp.target_index)
-    if not 0 <= y < d:
-        raise ValueError(f"target_index {y} out of range for {d} variables")
-    if source_vine.target_index is not None and int(source_vine.target_index) != y:
+    y = _check_target(inp.target_index, d)
+    if source_vine.target_index not in (None, y):
         raise ValueError("target_index disagrees with the fitted model")
     unsup = inp.mode == "unsupervised"
     y_name = names[y]
@@ -253,7 +253,7 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     model = VineModel(
         marginals=new_marginals,
         trees=trees,
-        variable_names=list(names),
+        variable_names=names,
         target_index=y,
         fit_metadata=meta,
     )

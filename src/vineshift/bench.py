@@ -18,6 +18,7 @@ import numpy as np
 
 from .adapt import AdaptationInput, adapt_vine
 from .dataio import Dataset
+from .errors import require_integer
 from .mmd import MmdConfig
 from .regress import default_grid, evaluate
 from .rvine import fit_vine
@@ -42,8 +43,10 @@ class ExperimentConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if not 0.0 < self.target_labeled_fraction < 1.0:
             raise ValueError("target_labeled_fraction must be in (0, 1)")
+        require_integer("repetitions", self.repetitions)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        require_integer("n_samples", self.n_samples)
         if self.n_samples < 20:
             raise ValueError("n_samples must be >= 20")
 

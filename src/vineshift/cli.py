@@ -50,14 +50,6 @@ MODE_NAMES = {"supervised": "supervised", "semi": "semi_supervised",
               "unsupervised": "unsupervised"}
 
 
-def _target_model(path):
-    """The model file at path; a model without a target variable is refused."""
-    model = modelfile.load(path)
-    if model.target_index is None:
-        raise SchemaError("model has no target variable; refit with --target")
-    return model
-
-
 def _source_dataset(model) -> Dataset:
     """Source sample recovered from the stored kernel support points.
 
@@ -68,7 +60,7 @@ def _source_dataset(model) -> Dataset:
         raise SchemaError("only a source model can be adapted; "
                           "this model was already adapted")
     X = np.column_stack([np.asarray(m.centers, dtype=float) for m in model.marginals])
-    return Dataset(list(model.variable_names), X)
+    return Dataset(model.variable_names, X)
 
 
 def cmd_fit(args) -> int:
@@ -129,14 +121,15 @@ def cmd_density_bench(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    model = _target_model(args.model)
+    model = modelfile.load(args.model)
+    y = model.require_target()
     labeled = read_csv(args.target_labeled) if args.target_labeled else None
     unlabeled = read_csv(args.target_unlabeled) if args.target_unlabeled else None
     inp = AdaptationInput(
         source=_source_dataset(model),
         target_labeled=labeled,
         target_unlabeled=unlabeled,
-        target_index=model.target_index,
+        target_index=y,
         mode=MODE_NAMES[args.mode],
         mmd_config=_mmd_config(args))
     adapted, report = adapt_vine(model, inp)
@@ -151,9 +144,9 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = _target_model(args.model)
+    model = modelfile.load(args.model)
+    names, y = model.variable_names, model.require_target()
     ds = read_csv(args.test)
-    names, y = model.variable_names, model.target_index
     X = ds.aligned(names, missing_ok=() if args.log_density else {names[y]})
     grid = default_grid(model, args.grid_points)
     dens, log_density = conditional_densities(model, X[:, feature_indices(model)], grid,
@@ -167,8 +160,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _target_model(args.model)
-    metrics = evaluate(model, read_csv(args.test), default_grid(model, args.grid_points))
+    model = modelfile.load(args.model)
+    grid = default_grid(model, args.grid_points)  # refuses a model without a target
+    metrics = evaluate(model, read_csv(args.test), grid)
     print(f"NMSE: {metrics.nmse:.6f}")
     print(f"TLL:  {metrics.tll:.6f}")
     return EXIT_OK

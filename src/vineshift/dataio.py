@@ -11,11 +11,27 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
+
+
+def check_names(names) -> list:
+    """The names rule of Dataset columns and VineModel variables: each name's str(), in order.
+
+    A string, or anything else that is not a sequence of names, is a
+    ValueError; a name given twice is a ParseError that names it.
+    """
+    if isinstance(names, str) or not isinstance(names, Iterable):
+        raise ValueError(f"names must be a list of strings, got {names!r}")
+    names = [str(s) for s in names]
+    if len(set(names)) < len(names):
+        repeated = next(s for i, s in enumerate(names) if s in names[:i])
+        raise ParseError(f"name {repeated!r} is given twice")
+    return names
 
 
 @dataclass
@@ -24,14 +40,12 @@ class Dataset:
     X: np.ndarray
 
     def __post_init__(self):
-        self.names = [str(s) for s in self.names]
+        self.names = check_names(self.names)
         self.X = np.asarray(self.X, dtype=float)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         if len(self.names) != self.X.shape[1]:
             raise ValueError("names length must match column count")
-        if len(set(self.names)) != len(self.names):
-            raise ParseError("duplicate column names")
 
     @property
     def n(self) -> int:
@@ -68,11 +82,7 @@ class Dataset:
 
     def target_index(self, name: str | None = None) -> int:
         """Resolve the target column: by name, default last column."""
-        if name is None:
-            return self.d - 1
-        if name not in self.names:
-            raise SchemaError(f"target column '{name}' not found")
-        return self.names.index(name)
+        return self.d - 1 if name is None else self._index(name)
 
     def drop(self, name: str) -> "Dataset":
         idx = self._index(name)
@@ -140,4 +150,4 @@ def write_csv(path, dataset: Dataset):
             writer.writerow([repr(float(v)) for v in row])
 
 
-__all__ = ["Dataset", "read_csv", "write_csv"]
+__all__ = ["Dataset", "check_names", "read_csv", "write_csv"]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, require_integer
 
 # Most pooled rows the median heuristic forms distances between.
 _MEDIAN_ROWS = 1000
@@ -39,6 +39,8 @@ class MmdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integer("permutations", self.permutations)
+        require_integer("seed", self.seed)
         if self.permutations < 50:
             raise ValueError("permutations must be >= 50")
         if not 0.0 < self.alpha < 1.0:

@@ -17,7 +17,8 @@ it folded into the marginals.
 Format version 1 wrote each float array as a JSON list of numbers. It
 is still read, and its first re-save is version 2. A non-finite value
 is refused by save and by load alike. This module only decodes: the vine
-rules are VineModel's, and load reports its refusal as a ParseError.
+rules, the names rule (strings, none repeated) and the target rule are
+VineModel's, and load reports its refusal as a ParseError.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ def model_to_doc(model: VineModel) -> dict:
         "format": FORMAT,
         "format_version": FORMAT_VERSION,
         "created": int(created),
-        "variable_names": [str(s) for s in model.variable_names],
-        "target_index": None if model.target_index is None else int(model.target_index),
+        "variable_names": model.variable_names,
+        "target_index": model.target_index,
         # always null; the key keeps re-saves of earlier raw fits byte-identical
         "normalization": None,
         "fit_metadata": meta,
@@ -159,7 +160,7 @@ def model_from_doc(doc) -> VineModel:
     if version not in ARRAY_FORM:
         raise ParseError(f"unsupported format_version {version!r}")
     try:
-        names = [str(s) for s in doc["variable_names"]]
+        names = doc["variable_names"]
         marginals = [GaussianKernel1D(_decode(m["centers"], version, f"marginal {i} centers"),
                                       float(m["bandwidth"]))
                      for i, m in enumerate(doc["marginals"])]

@@ -10,6 +10,8 @@ The grid spans the target marginal's [0.001, 0.999] quantile range
 expanded by 10 percent, and normalization is trapezoidal; one
 evaluation gives the grid densities and, at observed targets, log
 p(y | x) under the grid's normaliser. Test rows match variables by name.
+The target is the model's own: each function that reads it refuses a
+model without one through VineModel.require_target (a SchemaError).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, require_integer
 from .rvine import VineModel
 
 
@@ -45,23 +47,17 @@ class RegressionMetrics:
     tll: float
 
 
-def _require_target(vine: VineModel) -> int:
-    if vine.target_index is None:
-        raise ValueError("model has no target variable configured")
-    return int(vine.target_index)
-
-
 def default_grid(vine: VineModel, n_points: int = 257) -> YGrid:
     """Grid over the target marginal's expanded quantile range."""
-    y = _require_target(vine)
-    marg = vine.marginals[y]
+    require_integer("n_points", n_points)
+    marg = vine.marginals[vine.require_target()]
     lo, hi = marg.quantile([0.001, 0.999])
     pad = 0.05 * (hi - lo)
     return YGrid(np.linspace(lo - pad, hi + pad, n_points))
 
 
 def feature_indices(vine: VineModel) -> list:
-    y = _require_target(vine)
+    y = vine.require_target()
     return [i for i in range(vine.dim) if i != y]
 
 
@@ -75,7 +71,7 @@ def conditional_densities(vine: VineModel, X_feat, grid: YGrid, y=None):
     each y, evaluated there and normalised like the densities, so it is
     finite past the grid's ends too; without y it is None.
     """
-    t = _require_target(vine)
+    t = vine.require_target()
     feats = feature_indices(vine)
     Xf = np.atleast_2d(np.asarray(X_feat, dtype=float))
     if Xf.shape[1] != len(feats):
@@ -139,7 +135,7 @@ def test_log_likelihood(vine: VineModel, test) -> float:
 def evaluate(vine: VineModel, test: Dataset,
              grid: YGrid | None = None) -> RegressionMetrics:
     """NMSE of conditional-mean predictions plus mean test log density, columns by name."""
-    y = _require_target(vine)
+    y = vine.require_target()
     X = test.aligned(vine.variable_names)
     if grid is None:
         grid = default_grid(vine)

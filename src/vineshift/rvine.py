@@ -50,7 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bicopula import GaussianCopula, KernelCopula
-from .errors import DegenerateDataError, InsufficientDataError, StructureError
+from .dataio import check_names
+from .errors import (DegenerateDataError, InsufficientDataError, SchemaError, StructureError,
+                     require_integer)
 from .statcore import (TAU_BLOCK_ENTRIES, GaussianKernel1D, kendall_tau,
                        rank_pseudo_observations, row_blocks)
 
@@ -284,12 +286,23 @@ def _check_trees(trees: list, d: int) -> None:
         nodes, below = [e.constraint for e in tree.edges], tree.edges
 
 
+def _check_target(target_index, d: int) -> int:
+    """target_index as an int if it indexes one of d variables; ValueError otherwise."""
+    if isinstance(target_index, numbers.Integral) and 0 <= target_index < d:
+        return int(target_index)
+    raise ValueError(f"target_index {target_index!r} out of range")
+
+
 COPULA_FAMILIES = {"kernel": KernelCopula, "gaussian": GaussianCopula}
 
 
 @dataclass
 class VineModel:
-    """Fitted truncated regular vine; construction refuses one that breaks the vine rules."""
+    """Fitted truncated regular vine over named variables, one of which may be the target.
+
+    Construction refuses one that breaks the vine rules, the names rule
+    (dataio.check_names) or the target rule (None, or a variable's index).
+    """
 
     marginals: list
     trees: list
@@ -298,12 +311,19 @@ class VineModel:
     fit_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        d, ti = len(self.variable_names), self.target_index
+        self.variable_names = check_names(self.variable_names)
+        d = len(self.variable_names)
         if len(self.marginals) != d:
             raise ValueError("marginal count does not match variable names")
-        if ti is not None and not (isinstance(ti, numbers.Integral) and 0 <= ti < d):
-            raise ValueError(f"target_index {ti} out of range")
+        if self.target_index is not None:
+            self.target_index = _check_target(self.target_index, d)
         _check_trees(self.trees, d)
+
+    def require_target(self) -> int:
+        """The target variable's index; a model without one is refused with a SchemaError."""
+        if self.target_index is None:
+            raise SchemaError("model has no target variable; refit with --target")
+        return self.target_index
 
     @property
     def dim(self) -> int:
@@ -383,11 +403,12 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
         raise InsufficientDataError(f"need at least 20 rows, got {n}")
     if d < 2:
         raise ValueError("need at least 2 variables")
+    require_integer("truncation", truncation)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     if family not in COPULA_FAMILIES:
         raise ValueError(f"unknown copula family '{family}'")
-    names = list(variable_names) if variable_names is not None else [f"x{i}" for i in range(d)]
+    names = [f"x{i}" for i in range(d)] if variable_names is None else check_names(variable_names)
     if len(names) != d:
         raise ValueError("variable_names length must match column count")
     for i in range(d):

@@ -312,6 +312,14 @@ class TestInputValidation:
                 target_unlabeled=None, target_index=7, mode="supervised"))
 
 
+    @pytest.mark.parametrize("target_index", [5, -1, 1.7])
+    def test_target_that_is_not_a_variable_index(self, target_index):
+        # the model's target rule; a fraction was truncated (3.7 adapted as target 3)
+        with pytest.raises(ValueError, match=f"^target_index {target_index} out of range$"):
+            adapt_vine(self.model, AdaptationInput(
+                source=self.src, target_labeled=self.tgt,
+                target_unlabeled=None, target_index=target_index, mode="supervised"))
+
     def test_target_index_disagreeing_with_the_model(self):
         with pytest.raises(ValueError, match="^target_index disagrees with the fitted model$"):
             adapt_vine(self.model, AdaptationInput(

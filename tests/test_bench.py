@@ -78,6 +78,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n_samples=10)
 
+    @pytest.mark.parametrize("field, value", [("repetitions", 1.5), ("n_samples", 100.5)])
+    def test_fractional_counts_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            ExperimentConfig(**{field: value})
+
 
 class TestDensityBench:
     def make_results(self):

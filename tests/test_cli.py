@@ -375,7 +375,7 @@ class TestPredictEval:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "tree 2 has 3 nodes" in err
 
-    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("command", ["eval", "predict", "adapt"])
     @pytest.mark.parametrize("corrupt", ["nan_marginal_center", "inf_copula_center",
                                          "nan_v1_marginal_center", "bad_base64",
                                          "partial_float", "unequal_copula_centers",
@@ -383,13 +383,16 @@ class TestPredictEval:
                                          "three_conditioned", "one_conditioned",
                                          "fractional_target_index", "fractional_level",
                                          "fractional_node_pair", "fractional_created",
-                                         "huge_integer_bandwidth"])
+                                         "huge_integer_bandwidth", "repeated_name",
+                                         "string_names"])
     def test_corrupt_model_file_exits_2_with_one_line(self, workdir, tmp_path, capsys,
                                                      command, corrupt):
         # a stored float array must decode to whole, finite float64s in the
         # form its format_version uses; an edge's conditioned list must name
         # exactly two variables; an integer field must hold a JSON integer,
-        # and a float field a number a float can hold
+        # and a float field a number a float can hold; variable_names must
+        # be a list of names, none repeated (a repeated name read one CSV
+        # column for both variables)
         doc = modelfile.model_to_doc(modelfile.load(workdir / "model.json"))
         edge = doc["trees"][0]["edges"][0]
         centers, z = floats(doc["marginals"][0]["centers"]), floats(edge["copula"]["z_centers"])
@@ -423,18 +426,27 @@ class TestPredictEval:
         elif corrupt == "huge_integer_bandwidth":
             # a JSON integer too large for a float
             doc["marginals"][0]["bandwidth"] = 10 ** 400
+        elif corrupt == "repeated_name":
+            doc["variable_names"][1] = doc["variable_names"][0]
+        elif corrupt == "string_names":
+            doc["variable_names"] = "abcdefghij"[:len(doc["variable_names"])]
         else:
             length = 3 if corrupt == "three_conditioned" else 1
             edge["conditioned"] = (edge["conditioned"] * 2)[:length]
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
-        out = ["-o", tmp_path / "pred.csv"] if command == "predict" else []
-        assert run(command, broken, workdir / "test.csv", "--grid-points", 65, *out) == 2
+        test = workdir / "test.csv"
+        rest = {"eval": [test, "--grid-points", 65],
+                "predict": [test, "--grid-points", 65, "-o", tmp_path / "pred.csv"],
+                "adapt": ["-o", tmp_path / "a.json", "--target-labeled", test]}[command]
+        assert run(command, broken, *rest) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if corrupt.startswith(("nan", "inf")):
             # the file is refused before a model is constructed from it
             assert "non-finite" in err
+        if corrupt in ("repeated_name", "string_names"):
+            assert ("is given twice" if corrupt == "repeated_name" else "list of strings") in err
 
     @pytest.mark.parametrize("corrupt", ["zero_std", "negative_std", "overflowing_std",
                                          "nonzero_gamma"])

@@ -43,6 +43,15 @@ class TestDataset:
         with pytest.raises(ParseError):
             Dataset(["a", "a"], np.zeros((2, 2)))
 
+    def test_names_rule(self):
+        # "ab" was split into the names "a" and "b"
+        with pytest.raises(ValueError, match="^names must be a list of strings, got 'ab'$"):
+            Dataset("ab", np.zeros((2, 2)))
+        # it said "duplicate column names"
+        with pytest.raises(ParseError, match="^name 'a' is given twice$"):
+            Dataset(["a", "b", "a"], np.zeros((2, 3)))
+        assert Dataset([0, 1], np.zeros((2, 2))).names == ["0", "1"]
+
 
 class TestReadCsv:
     def test_roundtrip_exact(self, tmp_path):

@@ -157,6 +157,12 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             MmdConfig(alpha=0.0)
 
+    @pytest.mark.parametrize("field, value", [("permutations", 60.5), ("seed", 1.7)])
+    def test_fractional_settings_refused(self, field, value):
+        # 60.5 passed the >= 50 check and failed in the draw; seed 1.7 ran as seed 1
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            MmdConfig(**{field: value})
+
 
 def unscaled_distances(Z):
     """Clipped squared distances of the centred rows, in data units."""

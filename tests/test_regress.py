@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from vineshift.dataio import Dataset
 from vineshift.errors import DegenerateDataError, SchemaError
+from vineshift.modelfile import load, save
 from vineshift.regress import (RegressionMetrics, YGrid, conditional_densities,
                                conditional_density, conditional_density_batch, default_grid,
                                evaluate, feature_indices, nmse, predict_means)
@@ -102,6 +103,21 @@ class TestConditionalDensity:
         model = fit_vine(rng.standard_normal((60, 2)), truncation=1)
         with pytest.raises(ValueError):
             default_grid(model)
+
+    @pytest.mark.parametrize("call", [
+        default_grid, feature_indices,
+        lambda m: evaluate(m, Dataset(["x0", "x1"], np.zeros((4, 2))))])
+    def test_no_target_is_the_models_schema_error(self, call):
+        # it was a plain ValueError, "model has no target variable configured"
+        model = fit_vine(np.random.default_rng(62).standard_normal((60, 2)), truncation=1)
+        with pytest.raises(SchemaError,
+                           match="^model has no target variable; refit with --target$"):
+            call(model)
+
+    def test_fractional_grid_size_refused(self):
+        model, _ = linear_pair_model(n=200)
+        with pytest.raises(ValueError, match="^n_points must be an integer, got 100.5$"):
+            default_grid(model, 100.5)
 
     def test_deep_vine_batch_matches_row_loop(self):
         # the grid-expansion bookkeeping across three tree levels must
@@ -249,6 +265,17 @@ class TestMetrics:
         extra = Dataset(test.names + ["z"], np.column_stack([test.X, test.X[:, 0]]))
         with pytest.raises(SchemaError, match="unexpected columns"):
             evaluate(model, extra)
+
+    def test_integer_names_evaluate_as_the_loaded_copy(self, tmp_path):
+        # integer names were kept as integers in memory, so a fit refused the
+        # string-named columns its own saved copy evaluates
+        rng = np.random.default_rng(68)
+        X = regression_task(120, rng, d=3).X
+        model = fit_vine(X, variable_names=[0, 1, 2], target_index=2)
+        save(model, tmp_path / "m.json")
+        test = Dataset(["0", "1", "2"], X[:40])
+        assert model.variable_names == ["0", "1", "2"]
+        assert evaluate(model, test) == evaluate(load(tmp_path / "m.json"), test)
 
     def test_evaluate_bundles_both(self):
         model, X = linear_pair_model(n=600)

@@ -799,6 +799,19 @@ class TestGuards:
         with pytest.raises(ValueError, match="^variable_names length must match column count$"):
             fit_vine(X, variable_names=["a", "b"])
 
+    @pytest.mark.parametrize("names, message", [
+        (["a", "b", "a"], "^name 'a' is given twice$"),
+        ("xyz", "^names must be a list of strings, got 'xyz'$")])
+    def test_fit_refuses_names_that_break_the_names_rule(self, names, message):
+        X = gaussian_copula_chain(40, 3, 0.5, np.random.default_rng(0)).X
+        with pytest.raises(ValueError, match=message):
+            fit_vine(X, variable_names=names)
+
+    def test_fit_refuses_a_fractional_truncation(self):
+        X = gaussian_copula_chain(40, 3, 0.5, np.random.default_rng(0)).X
+        with pytest.raises(ValueError, match="^truncation must be an integer, got 1.5$"):
+            fit_vine(X, truncation=1.5)
+
     def test_first_tree_needs_two_variables_and_two_rows(self):
         with pytest.raises(ValueError, match="^need at least 2 variables$"):
             build_first_tree(np.full((5, 1), 0.5))
