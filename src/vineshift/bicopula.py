@@ -40,9 +40,14 @@ sum_k A[i, k] B[j, k], a matrix product of per-axis factors: Gaussian
 cdfs or max-shifted Gaussian weights. A factor depends only on its
 axis (centres and bandwidth) and kind, and tables of the same walk
 often share an axis: tree-1 edges at one variable have equal centres,
-and so do a fitted vine and its reloaded copy. One factor memo keeps
-the three most recently read factors of either kind, so such a run of
-tables builds each factor once. Queries are answered by cubic
+and so do a fitted vine and its reloaded copy. A cdf factor's columns
+are one per centre, so it is built once on the sorted centres and each
+axis gathers its columns in its own order; every tree-1 axis holds the
+normal scores of the ranks 1..n in some order, so all of them share
+one sorted cdf factor unless their variable has ties or their
+bandwidths differ. One factor memo keeps the three most recently read
+factors of either kind, so such a run of tables builds each factor
+once. Queries are answered by cubic
 B-spline interpolation of the table, and interpolated h-values are
 clipped to [0, 1]; they differ from the exact sums by about 1e-5. The
 spline is scipy.ndimage's (spline_filter for the coefficients,
@@ -100,11 +105,11 @@ _MEMO_BYTES = 3 << 20
 # Axis factors the factor memo keeps: the three most recently read, of
 # either kind, none over _FACTOR_BYTES (a factor is nodes x n doubles,
 # 1.26 MB at n=1200). An h table reads a cdf and a weight factor, a log c
-# table two weight factors. A walk reads the tables of the edges at one
-# variable in a run, so three slots build each distinct cdf axis once per
-# walk (16 cdf factors for the 28 h tables of a d=16 vine's first two
-# trees) and keep the weight builds of a fit and score of such a vine at
-# n=1200 to 71; two slots would build 44 cdf and 98 weight factors.
+# table two weight factors. All tree-1 axes share one sorted cdf factor,
+# which nearly every h table of a walk reads, so three slots keep it
+# through a fit and score of a d=16 vine at n=1200 (one cdf build, where
+# a factor per axis took 32) and hold that run's weight builds to 70; two
+# slots would build 42 cdf and 98 weight factors.
 _FACTOR_SLOTS = 3
 _FACTOR_BYTES = 2 << 20
 
@@ -192,9 +197,13 @@ def _build_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: st
 
 
 def _kept_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str):
-    """_build_factor's factor with every block computed, all of it read-only."""
+    """_build_factor's factor with every block computed, all of it read-only.
+
+    A cdf factor's blocks are joined into one block of all the centres,
+    which _axis_factor gathers each axis's columns from.
+    """
     blocks, peak = _build_factor(nodes, centers, sigma, kind)
-    blocks = tuple(blocks)
+    blocks = tuple(blocks) if peak is not None else (np.concatenate(tuple(blocks), axis=1),)
     for a in (*blocks, peak):
         if a is not None:
             a.flags.writeable = False
@@ -208,16 +217,32 @@ _factors: OrderedDict = OrderedDict()
 def _axis_factor(nodes: np.ndarray, centers: np.ndarray, sigma: float, kind: str):
     """kind's (blocks, peak) of one axis, from the factor memo unless it is too large to keep.
 
-    The memo is keyed by kind, the centres' bytes and sigma, so copulas that
-    share an axis (tree-1 edges at one variable, a fitted vine and its
-    reloaded copy) share its factor, whichever role the axis has in each.
-    A factor over _FACTOR_BYTES is computed block by block as it is read
-    and never held whole, so memory does not grow with n.
+    A weight factor is keyed by the centres' bytes and sigma, so copulas
+    that share an axis (tree-1 edges at one variable, a fitted vine and
+    its reloaded copy) share it, whichever role the axis has in each. A
+    cdf factor is keyed by the sorted centres and sigma, and built once on
+    them: every tree-1 axis holds the normal scores of the ranks 1..n in
+    some order unless its variable has ties, so all of them share one.
+    Each axis gets its cdf columns back in its own order, gathered into
+    C-contiguous blocks of _MAX_NODES centres: bit for bit and in layout
+    the blocks a build on its own centres gives, so the products that read
+    them keep their bits. A factor over _FACTOR_BYTES is computed block
+    by block in the axis's order as it is read and never held whole, so
+    memory does not grow with n.
     """
     if nodes.size * centers.size * 8 > _FACTOR_BYTES:
         return _build_factor(nodes, centers, sigma, kind)
-    return _memoised(_factors, (kind, centers.tobytes(), sigma), _kept_factor,
-                     (nodes, centers, sigma, kind), _FACTOR_SLOTS, _one, reserve=1)
+    if kind == "weight":
+        return _memoised(_factors, (kind, centers.tobytes(), sigma), _kept_factor,
+                         (nodes, centers, sigma, kind), _FACTOR_SLOTS, _one, reserve=1)
+    order = np.argsort(centers)
+    ordered = centers[order]
+    (full,), _ = _memoised(_factors, (kind, ordered.tobytes(), sigma), _kept_factor,
+                           (nodes, ordered, sigma, kind), _FACTOR_SLOTS, _one, reserve=1)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return (full.take(rank[start:start + _MAX_NODES], axis=1)
+            for start in range(0, centers.size, _MAX_NODES)), None
 
 
 def _one(factor) -> int:

@@ -118,6 +118,10 @@ def read_csv(path) -> Dataset:
     header = [h.strip() for h in header]
     if all(_is_number(h) for h in header):
         raise ParseError(f"{path}: first row looks numeric; a header row is required")
+    try:
+        header = check_names(header)
+    except ParseError as err:
+        raise ParseError(f"{path}: {err}") from None
     rows = []
     for line_no, row in enumerate(records, start=2):
         if not row:

@@ -243,7 +243,9 @@ def base_samples(U: np.ndarray) -> dict:
     """walk's F for an (n, d) matrix of pseudo-observations.
 
     A column that is all nan marks its variable absent, and edges over
-    it cost nothing; a partly nan column is a sample like any other.
+    it cost nothing. A partly nan column is a sample like any other: it
+    pays the whole walk, every edge over it evaluated on all its rows,
+    and its nan rows give nan.
     """
     return {(i, frozenset()): None if np.isnan(col).all() else col
             for i, col in enumerate(U.T)}
@@ -334,7 +336,11 @@ class VineModel:
         return len(self.trees)
 
     def log_density(self, X) -> np.ndarray | float:
-        """Row-wise log density; finite for all finite inputs."""
+        """Row-wise log density; finite for all finite inputs.
+
+        A nan cell gives its row nan. Its column is data like any other,
+        even when it is nan in every row, so it pays the whole walk.
+        """
         arr = np.asarray(X, dtype=float)
         scalar = arr.ndim == 1
         rows = np.atleast_2d(arr)

@@ -8,11 +8,13 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 from scipy.special import ndtr, ndtri
 
-from vineshift import bicopula, modelfile, regress
+from vineshift import adapt, bicopula, modelfile, regress
 from vineshift.bicopula import EPS, GaussianCopula, IndependenceCopula, KernelCopula
+from vineshift.dataio import Dataset
+from vineshift.mmd import MmdConfig
 from vineshift.rvine import fit_vine
 from vineshift.statcore import _kernel_cdfs, _log_kernel, rank_pseudo_observations
-from vineshift.synth import regression_task
+from vineshift.synth import REGRESSION_SHIFTS, regression_task
 
 
 def gauss_legendre_integral(cop, order=200):
@@ -290,11 +292,14 @@ def empty_factor_memos(monkeypatch):
     monkeypatch.setattr(bicopula, "_factors", OrderedDict())
 
 
-def cdf_axis(cop, kind):
-    """(centre bytes, sigma) of the axis an h table kind of cop is a cdf of."""
+def cdf_axis(cop, kind, key=np.sort):
+    """(key(centres) bytes, sigma) of the axis an h table kind of cop is a cdf of.
+
+    By default the centres are sorted, as the factor memo keys a cdf axis.
+    """
     if kind == "cdf_u_given_v":
-        return cop.z_centers.tobytes(), cop.sigma_z
-    return cop.w_centers.tobytes(), cop.sigma_w
+        return key(cop.z_centers).tobytes(), cop.sigma_z
+    return key(cop.w_centers).tobytes(), cop.sigma_w
 
 
 def shares_tree1_axes(model) -> bool:
@@ -614,9 +619,11 @@ class TestAxisFactors:
         bicopula._node_values(a, "cdf_u_given_v")
         bicopula._node_values(b, "cdf_u_given_v")
         assert [k for k, *_ in builds] == ["cdf", "weight", "weight"]
+        # the cdf factor is built on the sorted centres, once for both copulas
+        assert builds[0][1:] == cdf_axis(a, "cdf_u_given_v") == cdf_axis(b, "cdf_u_given_v")
         bicopula._node_values(wider, "cdf_u_given_v")
         assert [k for k, *_ in builds[3:]] == ["cdf"]
-        assert builds[3][1:] == (a.z_centers.tobytes(), 1.5 * a.sigma_z)
+        assert builds[3][1:] == (np.sort(a.z_centers).tobytes(), 1.5 * a.sigma_z)
 
     def test_slots_hold_the_three_most_recently_read_factors(self, monkeypatch):
         cops = [fitted(60, seed)[0] for seed in range(54, 58)]
@@ -632,12 +639,18 @@ class TestAxisFactors:
         # (weights of z, cdf of w)
         last = cops[-1]
         z, w = (last.z_centers.tobytes(), last.sigma_z), (last.w_centers.tobytes(), last.sigma_w)
-        assert list(bicopula._factors) == [("weight", *w), ("weight", *z), ("cdf", *w)]
-        # a kept factor is a read-only (blocks, peak) pair; a cdf factor has no peak
-        for (kind, *_), (blocks, peak) in bicopula._factors.items():
+        assert list(bicopula._factors) == [("weight", *w), ("weight", *z),
+                                           ("cdf", *cdf_axis(last, "cdf_v_given_u"))]
+        # a kept factor is a read-only (blocks, peak) pair; a cdf factor has
+        # no peak and one block, of all its centres in ascending order
+        for (kind, centers, sigma), (blocks, peak) in bicopula._factors.items():
             assert (peak is None) == (kind == "cdf")
             arrays = blocks if peak is None else (*blocks, peak)
             assert not any(a.flags.writeable for a in arrays)
+            if kind == "cdf":
+                centers = np.frombuffer(centers)
+                assert np.all(np.diff(centers) >= 0)
+                assert [blk.shape for blk in blocks] == [(bicopula._nodes(sigma).size, 60)]
 
     def test_oldest_entry_is_dropped_before_a_build(self, monkeypatch):
         cops = [fitted(60, seed)[0] for seed in (58, 59)]
@@ -652,7 +665,7 @@ class TestAxisFactors:
         for cop in cops:
             bicopula._node_values(cop, "cdf_u_given_v")
         (cdf_z0, weight_w0), (cdf_z1, weight_w1) = (
-            (("cdf", c.z_centers.tobytes(), c.sigma_z),
+            (("cdf", *cdf_axis(c, "cdf_u_given_v")),
              ("weight", c.w_centers.tobytes(), c.sigma_w)) for c in cops)
         # the cdf of z0, the least recently read, is gone before w1's weights are built
         assert kept == [("cdf", []), ("weight", [cdf_z0]),
@@ -660,8 +673,70 @@ class TestAxisFactors:
         bicopula._node_values(cops[1], "log_density")
         # z1's weight factor is built after w0's, the least recently read, was dropped
         weight_z1 = ("weight", cops[1].z_centers.tobytes(), cops[1].sigma_z)
-        assert kept[-1] == ("weight", [cdf_z1, weight_w1])
+        assert kept[4:] == [("weight", [cdf_z1, weight_w1])]
         assert list(bicopula._factors) == [cdf_z1, weight_z1, weight_w1]
+
+    @pytest.mark.parametrize("n, blocks", [(300, 1), (1200, 3)])
+    def test_shuffled_centres_share_one_cdf_build(self, n, blocks, monkeypatch):
+        # each axis gets its cdf columns back in its own order; at n=1200 a
+        # block of the shuffled axis gathers columns from all three blocks
+        a, b = self.neighbours(n, 61)
+        assert -(-n // bicopula._MAX_NODES) == blocks
+        perm = np.random.default_rng(61).permutation(n)
+        shuffled = KernelCopula(a.z_centers[perm], b.w_centers, a.sigma_z, b.sigma_w)
+        # the shuffled axis as the w axis, of which h(v|u) is a cdf
+        swapped = KernelCopula(a.w_centers, shuffled.z_centers, a.sigma_w, a.sigma_z)
+        builds = record_factor_builds(monkeypatch)
+        for cop, kind in ((a, "cdf_u_given_v"), (shuffled, "cdf_u_given_v"),
+                          (swapped, "cdf_v_given_u")):
+            assert np.array_equal(bicopula._node_values(cop, kind),
+                                  oracle_node_values(cop, kind)), kind
+        assert [k for k, *_ in builds].count("cdf") == 1
+        assert builds[0] == ("cdf", *cdf_axis(a, "cdf_u_given_v"))
+
+    def test_tied_column_builds_its_own_cdf_factor(self, monkeypatch):
+        # average ranks of ties are another centre set, so nothing is shared
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((300, 2))
+        v = rank_pseudo_observations(x[:, 0] + x[:, 1])
+        plain = KernelCopula.fit(rank_pseudo_observations(x[:, 0]), v)
+        tied = KernelCopula.fit(rank_pseudo_observations(np.round(x[:, 0], 1)), v)
+        assert np.unique(tied.z_centers).size < tied.n
+        builds = record_factor_builds(monkeypatch)
+        for cop in (plain, tied):
+            assert np.array_equal(bicopula._node_values(cop, "cdf_u_given_v"),
+                                  oracle_node_values(cop, "cdf_u_given_v"))
+        # tied shares plain's w axis, and so its weight factor
+        assert builds == [("cdf", *cdf_axis(plain, "cdf_u_given_v")),
+                          ("weight", plain.w_centers.tobytes(), plain.sigma_w),
+                          ("cdf", *cdf_axis(tied, "cdf_u_given_v"))]
+        for kind in METHODS:
+            assert np.array_equal(bicopula._node_values(tied, kind),
+                                  oracle_node_values(tied, kind)), kind
+
+    def test_adapt_builds_fewer_cdf_factors_than_tree1_axes(self, monkeypatch):
+        # adapt's pooled tree-1 refits rank whole columns too, so their axes
+        # share centre sets; keys by each axis's own order would build one
+        # cdf factor per distinct axis
+        rng = np.random.default_rng(63)
+        src = regression_task(150, rng)
+        tgt = regression_task(100, rng, shifts=REGRESSION_SHIFTS)
+        model = fit_vine(src.X, truncation=2, variable_names=src.names, target_index=9,
+                         seed=63)
+        builds, tables = record_factor_builds(monkeypatch), record_builds(monkeypatch)
+        bicopula._tables.clear()
+        bicopula._factors.clear()
+        adapted, _ = adapt.adapt_vine(model, adapt.AdaptationInput(
+            source=src, target_labeled=Dataset(tgt.names, tgt.X[:20]),
+            target_unlabeled=Dataset(tgt.names[:-1], tgt.X[20:, :-1]), target_index=9,
+            mode="semi_supervised", mmd_config=MmdConfig(permutations=50, seed=63)))
+        tree1 = {e.copula for m in (model, adapted) for e in m.trees[0].edges}
+        h_tables = [(c, k) for c, k in tables if k != "log_density"]
+        assert h_tables and all(c in tree1 for c, _ in h_tables)
+        axes = {cdf_axis(c, k, key=np.asarray) for c, k in h_tables}
+        # 10 distinct axes over two centre sets: the ranks of the 250 pooled
+        # feature rows, and of the 170 pooled rows that carry y
+        assert ([k for k, *_ in builds].count("cdf"), len(axes)) == (2, 10)
 
     def test_factor_over_the_limit_is_returned_not_kept(self, monkeypatch):
         cop = fitted(3000, 60)[0]
@@ -686,8 +761,7 @@ class TestAxisFactors:
         def walked():
             kinds = [k for k, *_ in builds]
             axes = {cdf_axis(c, k) for c, k in tables if k != "log_density"}
-            counts.append((kinds.count("cdf"), kinds.count("weight"), len(tables)))
-            assert kinds.count("cdf") == len(axes)
+            counts.append((kinds.count("cdf"), len(axes), kinds.count("weight"), len(tables)))
             builds.clear()
             tables.clear()
 
@@ -695,9 +769,15 @@ class TestAxisFactors:
         walked()
         modelfile.model_from_doc(modelfile.model_to_doc(model)).log_density(test.X)
         walked()
-        # 28 h tables need 28 cdf and 28 weight factors in all, over 16
-        # distinct cdf axes; scoring adds 29 log c tables (58 weight factors)
-        assert counts == [(16, 27, 28), (16, 44, 57)]
+        # 28 h tables read 16 distinct tree-1 axes, which hold the normal
+        # scores of the ranks 1..120 in different orders. They make two cdf
+        # factors: one variable's bandwidth differs from the others' in its
+        # last bits, because the standard deviation sums in data order. The
+        # odd axis's two tables push the shared factor out of the three
+        # slots, so each walk builds it again after them; scoring starts
+        # with it still kept from fit. Scoring adds 29 log c tables (58
+        # weight factors).
+        assert counts == [(3, 2, 26, 28), (2, 2, 44, 57)]
 
 
 class TestGaussianCopula:

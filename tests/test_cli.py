@@ -185,6 +185,13 @@ class TestFit:
         assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
 
+    def test_repeated_header_name_exits_2_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "rep.csv"
+        bad.write_text("a,b,a\n1,2,3\n4,5,6\n")
+        assert run("fit", bad, "-o", tmp_path / "m.json") == 2
+        assert capsys.readouterr().err == f"error: {bad}: name 'a' is given twice\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_nan_cell_exits_2(self, tmp_path, capsys):
         train = tmp_path / "t.csv"
         run("gen", "gaussian-copula-chain", "-o", train, "-n", 60, "-d", 3, "--seed", 4)

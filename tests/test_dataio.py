@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -100,6 +102,13 @@ class TestReadCsv:
         path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\n")
         ds = read_csv(path)
         assert ds.n == 2
+
+    def test_repeated_header_name_names_the_file(self, tmp_path):
+        # it said "name 'a' is given twice", with no path
+        path = tmp_path / "rep.csv"
+        path.write_text("a,b, a\n1.0,2.0,3.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: name 'a' is given twice$"):
+            read_csv(path)
 
     def test_header_whitespace_stripped(self, tmp_path):
         path = tmp_path / "ws.csv"
