@@ -7,8 +7,12 @@ Kendall rank correlation. All of it is vectorised numpy:
 Kendall tau counts its discordant pairs as the inversions of a rank
 sequence, one rank bit per step, for one sample pair or for a whole
 (P, n) batch of row pairs in one bit loop, block by block; the kernel
-quantile bisects all points at once. Everything here is a pure function of its inputs;
-fitted kernel models are immutable after construction. Every
+quantile bisects all points at once. Everything here is a pure function of its inputs.
+A fitted kernel model's centres and bandwidth never change; a marginal
+builds one derived table, of its normal score, on first use and keeps
+it, so a cdf query costs O(1) rather than one Gaussian cdf per centre
+(GaussianKernel1D says what is tabulated, what is exact, and how far
+they differ). The table is not stored in model files. Every
 elementwise function here, and every copula method in bicopula, takes
 its argument shapes through one decorator, elementwise.
 """
@@ -19,7 +23,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateDataError, InsufficientDataError
 
@@ -34,6 +38,18 @@ BLOCK_ENTRIES = 1 << 16
 # a dozen int64 and float temporaries of this size; at 2^13 entries they
 # stay near 1 MB, where 2^16 grew a deep vine fit's peak RSS by 14%.
 TAU_BLOCK_ENTRIES = 1 << 13
+
+# A marginal's normal-score table: nodes _NODES_PER_BANDWIDTH per bandwidth
+# over the centres +- _PAD_BANDWIDTHS bandwidths; queries past them take the
+# exact sum. At 3 nodes per bandwidth the cubic's error reached 5.8e-5 of F
+# in the lower tail of a normal sample (n=2438), next to an isolated extreme
+# centre; at 4 the worst over 100 normal, exponential, t3, bimodal and
+# lognormal samples (n=150-4000) was 1.2e-5 relative and 6.2e-7 absolute.
+# A node step below _MIN_STEP_ULPS ulps of the grid's ends could not keep
+# the nodes apart, so such a marginal sums exactly.
+_NODES_PER_BANDWIDTH = 4
+_PAD_BANDWIDTHS = 8
+_MIN_STEP_ULPS = 4
 
 
 def row_blocks(rows: int, width: int, entries: int | None = None):
@@ -98,6 +114,13 @@ def _kernel_cdfs(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray
     return ndtr(t, out=t)
 
 
+def _kernel_sfs(x: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
+    """Phi((c_k - x_i) / sigma), the survival terms, as a fresh (x.size, centers.size) array."""
+    t = centers - x[:, None]
+    t /= sigma
+    return ndtr(t, out=t)
+
+
 def silverman_bandwidth(sample, dim: int = 1) -> float:
     """Rule-of-thumb bandwidth sigma * (4/(dim+2))^(1/(dim+4)) * n^(-1/(dim+4)).
 
@@ -130,6 +153,20 @@ class GaussianKernel1D:
     cdf(x)  = (1/n) sum_i Phi((x - c_i)/h)
 
     The centres c_i must be finite. Equality and hashing are by identity.
+
+    pdf and logpdf are the exact sums. cdf answers from a table of the
+    normal score s(x) = Phi^-1(cdf(x)), built on first use: nodes h/4
+    apart over the centres +- 8h, each holding the exact sum (right of the
+    median centre, the exact survival sum, so both tails keep their
+    relative precision) and the exact slope s' = pdf(x) / phi(s(x)). A
+    query in the grid is Phi of the cubic Hermite interpolant of s, within
+    2e-6 of the exact sum, and within 5e-5 of it relative to cdf(x) where
+    cdf(x) < 0.5. Queries off the grid, +-inf and nan take the exact sum,
+    _exact_cdf, and so does every query of a marginal whose table would
+    need as many nodes as it has centres, or whose node step is below a
+    few ulps of its centres. Both are properties of the model, so a
+    query's value never depends on its batch. The table is derived, never
+    stored in a model file.
     """
 
     centers: np.ndarray
@@ -168,14 +205,39 @@ class GaussianKernel1D:
         return (self._row_sums(x, _log_kernel, log_sum_exp)
                 - np.log(self.centers.size * self.bandwidth * _SQRT_2PI))
 
+    @functools.cached_property
+    def _score_table(self):
+        """(nodes, per-interval cubic coefficients) of s, or None to sum exactly."""
+        return _normal_score_table(self)
+
     @elementwise
     def cdf(self, x):
+        """Phi of the tabulated normal score; the exact sum off the grid (see the class)."""
+        if self._score_table is None:
+            return self._exact_cdf(x)
+        nodes, coef = self._score_table
+        inside = (x >= nodes[0]) & (x <= nodes[-1])
+        q = x[inside]
+        i = np.minimum(np.searchsorted(nodes, q, side="right") - 1, coef.shape[0] - 1)
+        t = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
+        a, b, c, d = coef[i].T
+        out = np.empty(x.size)
+        out[inside] = ndtr(a + t * (b + t * (c + t * d)))
+        if not inside.all():
+            out[~inside] = self._exact_cdf(x[~inside])
+        return out
+
+    @elementwise
+    def _exact_cdf(self, x):
         return self._row_sums(x, _kernel_cdfs, lambda t: t.sum(axis=-1)) / self.centers.size
 
     @elementwise
     def quantile(self, p):
-        """Inverse cdf by vectorised bisection, accurate to ~1e-12 bandwidths in x.
+        """Inverse of cdf by vectorised bisection, accurate to ~1e-12 bandwidths in x.
 
+        It inverts cdf as evaluated, so the tabulated one where the
+        marginal has a table: cdf(quantile(p)) returns p, and quantile
+        differs from the exact sum's inverse by that table's error.
         Each point stops once its bracket is narrower than
         1e-12 h + 4 eps |x| (h the bandwidth): a point's result does not
         depend on the other points it is solved with, and the stop scales
@@ -200,6 +262,39 @@ class GaussianKernel1D:
             width = hi[active] - lo[active]
             active = active[width > tol + 4.0 * np.finfo(float).eps * np.abs(mid)]
         return 0.5 * (lo + hi)
+
+
+def _normal_score_table(kern: GaussianKernel1D):
+    """The table behind kern.cdf, or None where kern sums exactly.
+
+    Nodes x_k = lo + k h/4 from lo = min(c) - 8h to past max(c) + 8h.
+    Interval k holds the coefficients (a, b, c, d) of
+    s(x_k + t w) = a + t (b + t (c + t d)) for t in [0, 1], w its width
+    as the nodes were rounded: the cubic through s(x_k), s(x_k+1) with
+    slopes s'(x_k), s'(x_k+1).
+    """
+    h, centers = kern.bandwidth, kern.centers
+    step = h / _NODES_PER_BANDWIDTH
+    lo = centers.min() - _PAD_BANDWIDTHS * h
+    count = np.ceil((centers.max() + _PAD_BANDWIDTHS * h - lo) / step) + 1
+    if not count < centers.size:  # also where the span overflows to inf
+        return None
+    x = lo + step * np.arange(int(count))
+    if step < _MIN_STEP_ULPS * np.spacing(max(abs(x[0]), abs(x[-1]))):
+        return None
+    upper = x > np.median(centers)
+    s = np.empty(x.size)
+    s[~upper] = ndtri(kern._exact_cdf(x[~upper]))
+    s[upper] = -ndtri(kern._row_sums(x[upper], _kernel_sfs, lambda t: t.sum(axis=-1))
+                      / centers.size)
+    # s' = pdf / phi(s), from the max-shifted log pdf sums
+    slope = np.exp(kern._row_sums(x, _log_kernel, log_sum_exp) - np.log(centers.size * h)
+                   + 0.5 * s * s)
+    w, ds = np.diff(x), np.diff(s)
+    d0, d1 = w * slope[:-1], w * slope[1:]
+    coef = np.stack([s[:-1], d0, 3.0 * ds - 2.0 * d0 - d1, d0 + d1 - 2.0 * ds], axis=1)
+    x.flags.writeable = coef.flags.writeable = False
+    return x, coef
 
 
 def _change_points(values: np.ndarray) -> np.ndarray:

@@ -125,6 +125,17 @@ class TestGaussianKernel1D:
         q = m.quantile([0.1, 0.9])
         assert np.all(np.abs(q - 1e6) <= 4 * np.spacing(1e6))
 
+    def test_cdf_sums_exactly_where_the_node_step_is_below_an_ulp(self):
+        # 1000 centres on 10 values 1e-9 apart near 1e6, h = 1e-10: a table
+        # would need 425 nodes, but the step h/4 is a fifth of 1e6's ulp, so
+        # lo + step * k collapses; such a marginal must sum exactly
+        m = GaussianKernel1D(centers=1e6 + 1e-9 * (np.arange(1000) % 10), bandwidth=1e-10)
+        assert m._score_table is None
+        x = 1e6 + np.linspace(-2e-9, 11e-9, 201)
+        assert_array_equal(m.cdf(x), m._exact_cdf(x))
+        q = m.quantile([0.05, 0.5, 0.95])
+        assert np.all((q > 1e6 - 1e-9) & (q < 1e6 + 1e-8))
+
     def test_quantile_rejects_boundary(self):
         m = GaussianKernel1D(centers=[0.0, 1.0], bandwidth=1.0)
         for p in (0.0, 1.0, [0.5, 1.0]):
@@ -154,6 +165,83 @@ class TestGaussianKernel1D:
         assert a == a and a != b
         assert hash(a) == hash(a)
         assert a in [b, a] and b not in [a]
+
+
+class TestNormalScoreTable:
+    """cdf interpolates a table of Phi^-1(F); _exact_cdf is the reference."""
+
+    @pytest.mark.parametrize("n", [150, 600, 4000])
+    @pytest.mark.parametrize("kind", ["normal", "exponential"])
+    def test_table_agrees_with_the_exact_sum(self, kind, n):
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n) if kind == "normal" else rng.exponential(size=n)
+        m = GaussianKernel1D.fit(c)
+        assert m._score_table is not None
+        h = m.bandwidth
+        x = np.concatenate([np.linspace(c.min() - 12 * h, c.max() + 12 * h, 6001), c[:500]])
+        got, exact = m.cdf(x), m._exact_cdf(x)
+        err = np.abs(got - exact)
+        assert err.max() <= 2e-6
+        lower = exact < 0.5
+        assert (err[lower] / exact[lower]).max() <= 5e-5
+        # past the grid the exact sum answers
+        outside = (x < m._score_table[0][0]) | (x > m._score_table[0][-1])
+        assert outside.sum() > 100
+        assert_array_equal(got[outside], exact[outside])
+
+    def test_a_query_does_not_depend_on_its_batch(self):
+        rng = np.random.default_rng(51)
+        m = GaussianKernel1D.fit(rng.standard_normal(500))
+        assert m._score_table is not None
+        nodes = m._score_table[0]
+        x = np.concatenate([rng.normal(scale=3.0, size=300), nodes[[0, 1, -2, -1]],
+                            [nodes[0] - 1e-9, nodes[-1] + 1e-9, np.inf, -np.inf, np.nan]])
+        batch = m.cdf(x)
+        single = np.array([m.cdf(xi) for xi in x])
+        assert batch.tobytes() == single.tobytes()
+        assert_array_equal(m.cdf(x.reshape(-1, 3)), batch.reshape(-1, 3))
+
+    @pytest.mark.parametrize("centers,bandwidth", [
+        ([0.7], 0.3),
+        ([0.0, 1.0, 2.0], 0.5),
+        # 40 centres: a table over them +- 8h needs more than 40 nodes
+        (np.linspace(-1.0, 1.0, 40), 0.4),
+        # a far outlier: 199 centres, but thousands of nodes h/4 apart
+        (np.r_[np.random.default_rng(52).standard_normal(198), 500.0], 0.3),
+    ], ids=["1-centre", "3-centre", "40-centre", "outlier"])
+    def test_marginals_without_a_table_sum_exactly(self, centers, bandwidth):
+        m = GaussianKernel1D(centers=centers, bandwidth=bandwidth)
+        assert m._score_table is None
+        x = np.concatenate([np.linspace(-8.0, 8.0, 401), [np.inf, -np.inf, np.nan, 500.1]])
+        assert m.cdf(x).tobytes() == m._exact_cdf(x).tobytes()
+        assert m.cdf(0.25) == m._exact_cdf(0.25)
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_infinities_and_nan(self, n):
+        m = GaussianKernel1D.fit(np.random.default_rng(53).standard_normal(n))
+        assert (m._score_table is None) == (n == 3)
+        assert m.cdf(np.inf) == 1.0 and m.cdf(-np.inf) == 0.0
+        assert np.isnan(m.cdf(np.nan))
+        assert_array_equal(m.cdf([-np.inf, 0.0, np.nan, np.inf])[[0, 2, 3]], [0.0, np.nan, 1.0])
+
+    def test_each_marginal_builds_its_table_once(self, monkeypatch):
+        builds = []
+        build = statcore._normal_score_table
+
+        def counted(kern):
+            builds.append(kern)
+            return build(kern)
+
+        monkeypatch.setattr(statcore, "_normal_score_table", counted)
+        rng = np.random.default_rng(54)
+        a = GaussianKernel1D.fit(rng.standard_normal(300))
+        b = GaussianKernel1D.fit(rng.exponential(size=300))
+        for m in (a, b, a, b):
+            m.cdf(rng.standard_normal(50))
+            m.cdf(0.1)
+            m.quantile([0.2, 0.7])
+        m.logpdf([0.0, 1.0])
+        assert builds == [a, b]
 
 
 class TestKernelSumBlocks:
