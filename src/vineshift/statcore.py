@@ -45,8 +45,8 @@ TAU_BLOCK_ENTRIES = 1 << 13
 # in the lower tail of a normal sample (n=2438), next to an isolated extreme
 # centre; at 4 the worst over 100 normal, exponential, t3, bimodal and
 # lognormal samples (n=150-4000) was 1.2e-5 relative and 6.2e-7 absolute.
-# A node step below _MIN_STEP_ULPS ulps of the grid's ends could not keep
-# the nodes apart, so such a marginal sums exactly.
+# A node step of _MIN_STEP_ULPS ulps of the grid's ends keeps the rounded
+# nodes strictly increasing; a marginal with a smaller step sums exactly.
 _NODES_PER_BANDWIDTH = 4
 _PAD_BANDWIDTHS = 8
 _MIN_STEP_ULPS = 4
