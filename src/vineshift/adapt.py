@@ -14,6 +14,8 @@ their copulas are refit from the pooled rows, or copied verbatim when
 the mode forbids touching rows that involve the target variable. One
 walk reaches every pair copula, over one stack of pooled rows: each row
 with the target blanked, then the labeled rows (none if unsupervised).
+Those rows, and a target-only refit's, are ranks on the source vine's
+walk scale: normal scores of the ranks for a Gaussian vine.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from .dataio import Dataset
 from .errors import InsufficientDataError, SchemaError
@@ -213,14 +216,15 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         U_tgt[:tgt_col.size, i] = m.cdf(tgt_col)
         U_src[:, i] = (source_vine.marginals[i] if decisions[-1].changed else m).cdf(src_col)
 
-    # -- rank pseudo-observations of the pooled rows -------------------------
-    def _ranks(X: np.ndarray, keep_y: bool) -> np.ndarray:
+    # -- rank pseudo-observations, on the walk's scale -----------------------
+    scores = source_vine.on_scores
+
+    def _ranks(X: np.ndarray, keep) -> np.ndarray:
+        """The rank pseudo-observations of X's columns keep, nan elsewhere."""
         U = np.full_like(X, np.nan)
-        for i in range(d):
-            if i == y and not keep_y:
-                continue
+        for i in keep:
             U[:, i] = rank_pseudo_observations(X[:, i])
-        return U
+        return ndtri(U) if scores else U
 
     # -- walk the trees ------------------------------------------------------
     # A copy of the source trees whose copulas are refit as the walk
@@ -228,10 +232,11 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
     # reads the labeled part; in unsupervised mode y is absent altogether.
     trees = [VineTree(level=t.level, nodes=list(t.nodes), edges=[replace(e) for e in t.edges])
              for t in source_vine.trees]
-    pooled = [_ranks(np.vstack([Xs, Xt]), keep_y=False)]
+    features = [i for i in range(d) if i != y]
+    pooled = [_ranks(np.vstack([Xs, Xt]), features)]
     if not unsup:
-        pooled.append(_ranks(np.vstack([Xs, Xt_lab]), keep_y=True))
-    for edge, s1, s2 in walk(trees, base_samples(np.vstack(pooled))):
+        pooled.append(_ranks(np.vstack([Xs, Xt_lab]), range(d)))
+    for edge, s1, s2 in walk(trees, base_samples(np.vstack(pooled)), scores=scores):
         j, k = edge.conditioned
         uses_y = y in edge.constraint
         fid = f"edge({edge.label()})"
@@ -243,8 +248,8 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
         if not edge.conditioning:  # deeper trees are refit from pooled rows, untested
             tgt = U_tgt[:lab_rows] if uses_y else U_tgt
             if refit_target_only(fid, U_src[:, [j, k]], tgt[:, [j, k]]):
-                T = Xt_lab if uses_y else Xt
-                rows = rank_pseudo_observations(T[:, j]), rank_pseudo_observations(T[:, k])
+                U = _ranks(Xt_lab if uses_y else Xt, (j, k))
+                rows = U[:, j], U[:, k]
         edge.copula = type(edge.copula).fit(*rows)
 
     meta = dict(source_vine.fit_metadata)

@@ -9,9 +9,24 @@ Three families share one small interface:
   cdf_v_given_u(u, v)     conditional cdf P(V <= v | U = u)
 
 and inherit density(u, v) = exp(log_density(u, v)) from one base class.
-The other methods take their argument shapes through
-statcore.elementwise: arguments broadcast, the result has their shape,
-and all-scalar arguments give a float.
+The Gaussian and independence copulas also take normal scores
+z = Phi^-1(u), w = Phi^-1(v):
+
+  log_density_scores(z, w)   log c(Phi(z), Phi(w))
+  score_u_given_v(z, w)      Phi^-1 of cdf_u_given_v, as a score
+  score_v_given_u(z, w)      Phi^-1 of cdf_v_given_u
+
+which clip their arguments to +-Phi^-1(1 - EPS) as the u-methods clamp
+theirs to [EPS, 1 - EPS]. For these two families the h-function is
+linear in scores, so a vine of them walks on scores (rvine) and never
+turns a value into a probability and back at an edge; the Gaussian
+u-methods are Phi^-1 and Phi wrapped around the score forms, so they
+compute the closed forms on clamped u in the same operations. The
+kernel copula has no score methods: its h tables interpolate
+probabilities, and a vine that holds one walks on probabilities. Every
+method takes its argument shapes through statcore.elementwise:
+arguments broadcast, the result has their shape, and all-scalar
+arguments give a float.
 
 KernelCopula is the non-parametric estimator: pseudo-observations are
 mapped to the Gaussian z-scale, a bivariate Gaussian mixture is placed
@@ -119,6 +134,11 @@ _UNDERFLOW = 1e-250
 
 def _clamp(u) -> np.ndarray:
     return np.clip(np.asarray(u, dtype=float), EPS, 1.0 - EPS)
+
+
+def _clip_scores(z: np.ndarray) -> np.ndarray:
+    """z clipped to +-_Z_MAX, which holds Phi^-1 of every clamped u."""
+    return np.clip(z, -_Z_MAX, _Z_MAX)
 
 
 def _half_width(sigma: float) -> float:
@@ -468,7 +488,12 @@ class KernelCopula(_Copula):
 
 @dataclass(frozen=True)
 class GaussianCopula(_Copula):
-    """Closed-form Gaussian copula with correlation rho."""
+    """Closed-form Gaussian copula with correlation rho.
+
+    On normal scores z = Phi^-1(u), w = Phi^-1(v) its h-function is
+    linear, h = (z - rho w) / sqrt(1 - rho^2) as a score, and log c is a
+    quadratic form; the u-methods are Phi and Phi^-1 wrapped around them.
+    """
 
     rho: float
 
@@ -485,20 +510,28 @@ class GaussianCopula(_Copula):
 
     @elementwise
     def log_density(self, u, v):
-        z = ndtri(_clamp(u))
-        w = ndtri(_clamp(v))
+        return self.log_density_scores(ndtri(_clamp(u)), ndtri(_clamp(v)))
+
+    @elementwise
+    def cdf_u_given_v(self, u, v):
+        return ndtr(self.score_u_given_v(ndtri(_clamp(u)), ndtri(_clamp(v))))
+
+    def cdf_v_given_u(self, u, v):
+        return self.cdf_u_given_v(v, u)
+
+    @elementwise
+    def log_density_scores(self, z, w):
+        z, w = _clip_scores(z), _clip_scores(w)
         r = self.rho
         one_m = 1.0 - r * r
         return -0.5 * np.log(one_m) - (r * r * (z * z + w * w) - 2.0 * r * z * w) / (2.0 * one_m)
 
     @elementwise
-    def cdf_u_given_v(self, u, v):
-        z = ndtri(_clamp(u))
-        w = ndtri(_clamp(v))
-        return ndtr((z - self.rho * w) / np.sqrt(1.0 - self.rho**2))
+    def score_u_given_v(self, z, w):
+        return (_clip_scores(z) - self.rho * _clip_scores(w)) / np.sqrt(1.0 - self.rho**2)
 
-    def cdf_v_given_u(self, u, v):
-        return self.cdf_u_given_v(v, u)
+    def score_v_given_u(self, z, w):
+        return self.score_u_given_v(w, z)
 
 
 @dataclass(frozen=True)
@@ -521,6 +554,18 @@ class IndependenceCopula(_Copula):
     @elementwise
     def cdf_v_given_u(self, u, v):
         return _clamp(v)
+
+    @elementwise
+    def log_density_scores(self, z, w):
+        return np.zeros(z.shape)
+
+    @elementwise
+    def score_u_given_v(self, z, w):
+        return _clip_scores(z)
+
+    @elementwise
+    def score_v_given_u(self, z, w):
+        return _clip_scores(w)
 
 
 __all__ = ["EPS", "GaussianCopula", "IndependenceCopula", "KernelCopula"]

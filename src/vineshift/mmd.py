@@ -6,7 +6,9 @@ relabeling indicator vectors, which keeps 200 permutations at n=1000
 within a fraction of a second while remaining exactly equal to the
 naive per-permutation evaluation. A test forms one pooled distance
 matrix: the median-heuristic bandwidth is read from it, and the kernel
-is then built in its memory.
+is then built in its memory. Above 1000 pooled rows the bandwidth comes
+from a strided subsample's own distances, computed before the pooled
+matrix is formed, so the peak stays at two pooled-size buffers.
 
 The pooled rows are scaled by 2^-e, with e the binary exponent of their
 largest magnitude, before they are centred and squared, so that squared
@@ -200,12 +202,12 @@ def permutation_test(X, Y, config: MmdConfig) -> TestResult:
     _check_pair(Xa, Ya)
     n, m = Xa.shape[0], Ya.shape[0]
     N = n + m
+    # median_heuristic's distances are the pooled matrix's unless it
+    # subsamples; then its own matrix is formed and freed first, so the
+    # two never coexist
+    subsampled = median_heuristic(Xa, Ya) if N > _MEDIAN_ROWS else None
     d2, e = _sq_dists(np.vstack([Xa, Ya]))
-    # median_heuristic's distances are d2's unless it subsamples
-    if N <= _MEDIAN_ROWS:
-        bw = _median_distance(d2, e)
-    else:
-        bw = _ldexp(median_heuristic(Xa, Ya), -e)
+    bw = _median_distance(d2, e) if subsampled is None else _ldexp(subsampled, -e)
     K, r = _kernel_from(d2, bw)
     observed = _observed(K, r, n, m)
 

@@ -36,6 +36,17 @@ tree, adapt_vine on a copy of the source trees); it writes
 (j, D | {k}) and (k, D | {j}), and only the keys a later tree reads (a
 fit: only those a candidate edge of the next tree reads). Once a tree
 is done nothing reads its arguments again, and they are dropped.
+
+A walk carries each F(v | S) on one scale, which follows from the copula
+families in the trees. When every copula is Gaussian or independence
+(SCORE_FAMILIES), it carries normal scores z = Phi^-1(F(v | S)): the
+marginals give their tabulated scores, the h-function of a Gaussian
+edge is linear in them, h = (z - rho w) / sqrt(1 - rho^2) (Aas et al.
+2009), and log c is read on them, so no edge turns a value into a
+probability and back. A conditional cdf near 1 then keeps its precision
+in the upper tail. A vine that holds any kernel copula walks on
+probabilities, because the kernel copula's h tables interpolate
+probabilities; scores there would need tables of Phi^-1(h).
 """
 
 from __future__ import annotations
@@ -48,8 +59,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .bicopula import GaussianCopula, KernelCopula
+from .bicopula import GaussianCopula, IndependenceCopula, KernelCopula
 from .dataio import check_names
 from .errors import (DegenerateDataError, InsufficientDataError, SchemaError, StructureError,
                      require_integer)
@@ -201,14 +213,23 @@ def build_next_tree(prev: VineTree, F: dict) -> VineTree:
                                          & set(prev.edges[q].node_pair)))
 
 
-def walk(trees, F: dict, reads=None):
+# Copula families with score methods: a vine of only these walks on normal
+# scores; one kernel copula keeps the whole walk on probabilities.
+SCORE_FAMILIES = (GaussianCopula, IndependenceCopula)
+
+
+def walk(trees, F: dict, reads=None, scores: bool = False):
     """Yield (edge, s1, s2) for every edge of the sequence trees, tree by tree.
 
     F maps (v, frozenset()) to the sample of variable v's cdf, or to
     None for a variable absent from the data; any edge whose arguments
-    involve an absent variable yields (edge, None, None). Samples may be
-    any arrays that broadcast against each other; h-values take the
-    broadcast shape, and a nan argument gives nan in its place only. On
+    involve an absent variable yields (edge, None, None). Samples are
+    probabilities, or their normal scores where scores is true, as the
+    caller sets it from the trees' families (VineModel.on_scores): the
+    walk then computes h-values with the copulas' score methods, and
+    every sample it yields and stores is a score. Samples may be any arrays
+    that broadcast against each other; h-values take the broadcast
+    shape, and a nan argument gives nan in its place only. On
     resumption after an edge, its h-values are computed with edge.copula
     as it stands then, so the caller may set it in between, and stored
     in F, which is updated in place, for the keys for which reads(key) is
@@ -230,7 +251,9 @@ def walk(trees, F: dict, reads=None):
             yield edge, s1, s2
             keys = [key for key in ((j, D | {k}), (k, D | {j})) if reads(key)]
             if keys and s1 is not None:
-                h = {j: edge.copula.cdf_u_given_v, k: edge.copula.cdf_v_given_u}
+                cop = edge.copula
+                h = ({j: cop.score_u_given_v, k: cop.score_v_given_u} if scores
+                     else {j: cop.cdf_u_given_v, k: cop.cdf_v_given_u})
                 for v, S in keys:
                     F[v, S] = h[v](s1, s2)
             else:
@@ -240,7 +263,7 @@ def walk(trees, F: dict, reads=None):
 
 
 def base_samples(U: np.ndarray) -> dict:
-    """walk's F for an (n, d) matrix of pseudo-observations.
+    """walk's F for an (n, d) matrix of pseudo-observations or their normal scores.
 
     A column that is all nan marks its variable absent, and edges over
     it cost nothing. A partly nan column is a sample like any other: it
@@ -335,6 +358,11 @@ class VineModel:
     def truncation(self) -> int:
         return len(self.trees)
 
+    @property
+    def on_scores(self) -> bool:
+        """Whether walks over this vine carry normal scores (see the module docstring)."""
+        return all(isinstance(e.copula, SCORE_FAMILIES) for t in self.trees for e in t.edges)
+
     def log_density(self, X) -> np.ndarray | float:
         """Row-wise log density; finite for all finite inputs.
 
@@ -355,21 +383,24 @@ class VineModel:
         columns holds one array per variable, all broadcasting together.
         involving=v keeps v's marginal and the copulas whose constraint holds v.
         """
+        scores = self.on_scores
         logp, F = 0.0, {}
         for i, (marg, x) in enumerate(zip(self.marginals, columns)):
             if involving in (None, i):
                 logp = logp + marg.logpdf(x)
-            F[i, frozenset()] = marg.cdf(x)
-        for edge, s1, s2 in walk(self.trees, F):
+            F[i, frozenset()] = marg.score(x) if scores else marg.cdf(x)
+        for edge, s1, s2 in walk(self.trees, F, scores=scores):
             if involving is None or involving in edge.constraint:
-                logp = logp + edge.copula.log_density(s1, s2)
+                cop = edge.copula
+                logp = logp + (cop.log_density_scores if scores else cop.log_density)(s1, s2)
         return logp
 
     def conditional_cdf(self, var: int, value: float, conditioning: dict | None = None) -> float:
         """P(X_var <= value | X_s = x_s for every s in conditioning).
 
-        walk's F(var | conditioning) from the marginal cdfs of the given
-        variables, all others absent. A conditioning set the stored trees
+        walk's F(var | conditioning) from the marginals of the given
+        variables, all others absent; on a vine that walks on normal
+        scores, Phi of the score. A conditioning set the stored trees
         cannot derive raises a StructureError.
         """
         var, given = int(var), {int(i): x for i, x in (conditioning or {}).items()}
@@ -378,16 +409,17 @@ class VineModel:
         given[var] = value
         if not all(0 <= i < self.dim for i in given):
             raise ValueError(f"variable indices must lie in 0..{self.dim - 1}")
-        F = {(i, frozenset()): float(m.cdf(given[i])) if i in given else None
-             for i, m in enumerate(self.marginals)}
+        scores = self.on_scores
+        F = {(i, frozenset()): float((m.score if scores else m.cdf)(given[i]))
+             if i in given else None for i, m in enumerate(self.marginals)}
         S = frozenset(given) - {var}
-        for _ in walk(self.trees[:len(S)], F,
+        for _ in walk(self.trees[:len(S)], F, scores=scores,
                       reads=lambda key: len(key[1]) < len(S) or key == (var, S)):
             pass
         if F.get((var, S)) is None:
             raise StructureError(
                 f"conditional of {var} given {sorted(S)} is not derivable from the fitted trees")
-        return float(F[var, S])
+        return float(ndtr(F[var, S]) if scores else F[var, S])
 
 
 def fit_vine(data, truncation: int = 1, family: str = "kernel",
@@ -433,16 +465,18 @@ def fit_vine(data, truncation: int = 1, family: str = "kernel",
     # (j, D | {k}), which a candidate of the next tree reads exactly when
     # the node D | {k} joins two or more edges of its tree. So the fit
     # writes only keys conditioned on such nodes, and none at the last
-    # fitted level.
+    # fitted level. The walk's scale follows from the family; a Gaussian
+    # fit reads only the ranks of its arguments, which Phi^-1 keeps.
     levels = min(truncation, d - 1)
-    F = base_samples(U)
+    scores = issubclass(COPULA_FAMILIES[family], SCORE_FAMILIES)
+    F = base_samples(ndtri(U) if scores else U)
     trees = []
     for level in range(1, levels + 1):
         tree = build_first_tree(U) if level == 1 else build_next_tree(trees[-1], F)
         trees.append(tree)
         degree = Counter(i for e in tree.edges for i in e.node_pair)
         shared = {tree.nodes[i] for i, k in degree.items() if k >= 2 and level < levels}
-        for edge, s1, s2 in walk([tree], F, reads=lambda key: key[1] in shared):
+        for edge, s1, s2 in walk([tree], F, reads=lambda key: key[1] in shared, scores=scores):
             edge.copula = COPULA_FAMILIES[family].fit(s1, s2)
 
     return VineModel(marginals=marginals, trees=trees, variable_names=names,

@@ -154,19 +154,22 @@ class GaussianKernel1D:
 
     The centres c_i must be finite. Equality and hashing are by identity.
 
-    pdf and logpdf are the exact sums. cdf answers from a table of the
-    normal score s(x) = Phi^-1(cdf(x)), built on first use: nodes h/4
-    apart over the centres +- 8h, each holding the exact sum (right of the
-    median centre, the exact survival sum, so both tails keep their
-    relative precision) and the exact slope s' = pdf(x) / phi(s(x)). A
-    query in the grid is Phi of the cubic Hermite interpolant of s, within
-    2e-6 of the exact sum, and within 5e-5 of it relative to cdf(x) where
-    cdf(x) < 0.5. Queries off the grid, +-inf and nan take the exact sum,
-    _exact_cdf, and so does every query of a marginal whose table would
-    need as many nodes as it has centres, or whose node step is below a
-    few ulps of its centres. Both are properties of the model, so a
-    query's value never depends on its batch. The table is derived, never
-    stored in a model file.
+    pdf and logpdf are the exact sums. score(x) is the normal score
+    s(x) = Phi^-1(cdf(x)), and cdf(x) is Phi(score(x)) bit for bit. The
+    exact score, _exact_score, is Phi^-1 of the exact sum, and right of
+    the median centre -Phi^-1 of the exact survival sum, so both tails
+    keep their relative precision. score answers from a table of s, built
+    on first use: nodes h/4 apart over the centres +- 8h, each holding the
+    exact score and the exact slope s' = pdf(x) / phi(s(x)). A query in
+    the grid is the cubic Hermite interpolant of s; its cdf is within 2e-6
+    of the exact sum, and within 5e-5 of it relative to cdf(x) where
+    cdf(x) < 0.5. Queries off the grid, +-inf and nan take the exact
+    score, and so does every query of a marginal whose table would need
+    as many nodes as it has centres, or whose node step is below a few
+    ulps of its centres. Both are properties of the model, so a query's
+    value never depends on its batch. The table is derived, never stored
+    in a model file. A vine whose copulas take normal scores (rvine) reads
+    score, so a cdf near 1 never travels as a probability there.
     """
 
     centers: np.ndarray
@@ -211,10 +214,10 @@ class GaussianKernel1D:
         return _normal_score_table(self)
 
     @elementwise
-    def cdf(self, x):
-        """Phi of the tabulated normal score; the exact sum off the grid (see the class)."""
+    def score(self, x):
+        """Phi^-1(cdf(x)): the tabulated normal score, the exact one off the grid (see the class)."""
         if self._score_table is None:
-            return self._exact_cdf(x)
+            return self._exact_score(x)
         nodes, coef = self._score_table
         inside = (x >= nodes[0]) & (x <= nodes[-1])
         q = x[inside]
@@ -222,14 +225,25 @@ class GaussianKernel1D:
         t = (q - nodes[i]) / (nodes[i + 1] - nodes[i])
         a, b, c, d = coef[i].T
         out = np.empty(x.size)
-        out[inside] = ndtr(a + t * (b + t * (c + t * d)))
+        out[inside] = a + t * (b + t * (c + t * d))
         if not inside.all():
-            out[~inside] = self._exact_cdf(x[~inside])
+            out[~inside] = self._exact_score(x[~inside])
         return out
 
     @elementwise
-    def _exact_cdf(self, x):
-        return self._row_sums(x, _kernel_cdfs, lambda t: t.sum(axis=-1)) / self.centers.size
+    def cdf(self, x):
+        """Phi(score(x))."""
+        return ndtr(self.score(x))
+
+    @elementwise
+    def _exact_score(self, x):
+        """Phi^-1 of the exact cdf sum, or right of the median centre -Phi^-1 of the survival sum."""
+        upper = x > np.median(self.centers)
+        out = np.empty(x.size)
+        out[~upper] = ndtri(self._row_sums(x[~upper], _kernel_cdfs, _sum_rows)
+                            / self.centers.size)
+        out[upper] = -ndtri(self._row_sums(x[upper], _kernel_sfs, _sum_rows) / self.centers.size)
+        return out
 
     @elementwise
     def quantile(self, p):
@@ -265,7 +279,7 @@ class GaussianKernel1D:
 
 
 def _normal_score_table(kern: GaussianKernel1D):
-    """The table behind kern.cdf, or None where kern sums exactly.
+    """The table behind kern.score, or None where kern sums exactly.
 
     Nodes x_k = lo + k h/4 from lo = min(c) - 8h to past max(c) + 8h.
     Interval k holds the coefficients (a, b, c, d) of
@@ -282,11 +296,7 @@ def _normal_score_table(kern: GaussianKernel1D):
     x = lo + step * np.arange(int(count))
     if step < _MIN_STEP_ULPS * np.spacing(max(abs(x[0]), abs(x[-1]))):
         return None
-    upper = x > np.median(centers)
-    s = np.empty(x.size)
-    s[~upper] = ndtri(kern._exact_cdf(x[~upper]))
-    s[upper] = -ndtri(kern._row_sums(x[upper], _kernel_sfs, lambda t: t.sum(axis=-1))
-                      / centers.size)
+    s = kern._exact_score(x)
     # s' = pdf / phi(s), from the max-shifted log pdf sums
     slope = np.exp(kern._row_sums(x, _log_kernel, log_sum_exp) - np.log(centers.size * h)
                    + 0.5 * s * s)
@@ -295,6 +305,10 @@ def _normal_score_table(kern: GaussianKernel1D):
     coef = np.stack([s[:-1], d0, 3.0 * ds - 2.0 * d0 - d1, d0 + d1 - 2.0 * ds], axis=1)
     x.flags.writeable = coef.flags.writeable = False
     return x, coef
+
+
+def _sum_rows(t: np.ndarray) -> np.ndarray:
+    return t.sum(axis=-1)
 
 
 def _change_points(values: np.ndarray) -> np.ndarray:

@@ -829,6 +829,86 @@ class TestGaussianCopula:
                         1.0, atol=5e-3)
 
 
+class TestScoreMethods:
+    """The Gaussian and independence copulas on normal scores, and the u-methods around them."""
+
+    U = np.array([0.0, 1e-12, EPS, 1e-6, 0.02, 0.3, 0.5, 0.77, 0.999999, 1 - EPS, 1.0, np.nan])
+
+    def pairs(self):
+        return [a.ravel() for a in np.meshgrid(self.U, self.U)]
+
+    @pytest.mark.parametrize("rho", [-0.999, -0.4, 0.0, 0.6, 0.999])
+    def test_gaussian_u_methods_keep_their_formulas(self, rho):
+        # the closed forms on clamped u, written out as they were before the
+        # score methods: the wrappers must give these bits
+        cop = GaussianCopula(rho)
+        u, v = self.pairs()
+        z, w = ndtri(np.clip(u, EPS, 1 - EPS)), ndtri(np.clip(v, EPS, 1 - EPS))
+        one_m = 1.0 - rho * rho
+        log_c = -0.5 * np.log(one_m) - (rho * rho * (z * z + w * w) - 2.0 * rho * z * w) / (
+            2.0 * one_m)
+        assert np.array_equal(cop.log_density(u, v), log_c, equal_nan=True)
+        assert np.array_equal(cop.cdf_u_given_v(u, v),
+                              ndtr((z - rho * w) / np.sqrt(1.0 - rho**2)), equal_nan=True)
+        assert np.array_equal(cop.cdf_v_given_u(u, v),
+                              ndtr((w - rho * z) / np.sqrt(1.0 - rho**2)), equal_nan=True)
+
+    def test_independence_and_kernel_u_methods_keep_their_formulas(self):
+        u, v = self.pairs()
+        ind = IndependenceCopula()
+        assert np.array_equal(ind.cdf_u_given_v(u, v), np.clip(u, EPS, 1 - EPS), equal_nan=True)
+        assert np.array_equal(ind.cdf_v_given_u(u, v), np.clip(v, EPS, 1 - EPS), equal_nan=True)
+        assert np.array_equal(ind.log_density(u, v), np.zeros(u.size))
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal(200)
+        cop = KernelCopula.fit(rank_pseudo_observations(x),
+                               rank_pseudo_observations(x + rng.standard_normal(200)))
+        assert not hasattr(cop, "score_u_given_v")
+        z, w = ndtri(np.clip(u, EPS, 1 - EPS)), ndtri(np.clip(v, EPS, 1 - EPS))
+        for kind in ("log_density", "cdf_u_given_v", "cdf_v_given_u"):
+            table = bicopula._interpolate(bicopula._spline_table(cop, kind), z, w,
+                                          cop.sigma_z, cop.sigma_w)
+            expect = table if kind == "log_density" else np.clip(table, 0.0, 1.0)
+            assert np.array_equal(getattr(cop, kind)(u, v), expect, equal_nan=True), kind
+
+    @pytest.mark.parametrize("rho", [-0.7, 0.35, 0.95])
+    def test_gaussian_score_forms(self, rho):
+        cop = GaussianCopula(rho)
+        z = np.linspace(-6.3, 6.3, 41)
+        Z, W = np.meshgrid(z, z)
+        assert np.array_equal(cop.score_u_given_v(Z, W), (Z - rho * W) / np.sqrt(1 - rho**2))
+        assert np.array_equal(cop.score_v_given_u(Z, W), (W - rho * Z) / np.sqrt(1 - rho**2))
+        mvn = stats.multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+        expect = mvn.logpdf(np.stack([Z, W], axis=-1)) - stats.norm.logpdf(Z) - stats.norm.logpdf(W)
+        assert_allclose(cop.log_density_scores(Z, W), expect, rtol=1e-12, atol=1e-12)
+        # in the body the probability path agrees with the score path
+        body = (np.abs(Z) < 5) & (np.abs(W) < 5) & (np.abs(cop.score_u_given_v(Z, W)) < 5)
+        assert_allclose(ndtri(cop.cdf_u_given_v(ndtr(Z), ndtr(W)))[body],
+                        cop.score_u_given_v(Z, W)[body], rtol=1e-9, atol=1e-9)
+        assert_allclose(cop.log_density(ndtr(Z), ndtr(W))[body],
+                        cop.log_density_scores(Z, W)[body], rtol=1e-9, atol=1e-9)
+
+    def test_scores_are_clipped_as_u_is_clamped(self):
+        # +-inf and scores past Phi^-1(1 - EPS) read as the clamped u would
+        cop = GaussianCopula(0.5)
+        zmax = -ndtri(EPS)
+        assert ndtri(1 - EPS) <= zmax
+        big = np.array([-np.inf, -40.0, 40.0, np.inf])
+        clipped = np.array([-zmax, -zmax, zmax, zmax])
+        assert np.array_equal(cop.score_u_given_v(big, 0.3), cop.score_u_given_v(clipped, 0.3))
+        assert np.array_equal(cop.log_density_scores(big, 1.0),
+                              cop.log_density_scores(clipped, 1.0))
+        assert np.isfinite(cop.log_density_scores(big, big[::-1])).all()
+        assert np.isnan(cop.score_u_given_v(np.nan, 0.0))
+        assert np.isnan(cop.log_density_scores(0.0, np.nan))
+        ind = IndependenceCopula()
+        assert np.array_equal(ind.score_u_given_v(big, 0.0), clipped)
+        assert np.array_equal(ind.score_v_given_u(0.0, big), clipped)
+        z = np.linspace(-6, 6, 13)
+        assert np.array_equal(ind.score_u_given_v(z, z[::-1]), z)
+        assert np.array_equal(ind.log_density_scores(z, z[::-1]), np.zeros(13))
+
+
 class TestIndependenceCopula:
     def test_density_is_one(self):
         cop = IndependenceCopula()

@@ -279,6 +279,22 @@ class TestOneDistanceMatrix:
             tracemalloc.stop()
         assert peak <= 2.2 * 550 * 550 * 8
 
+    def test_subsampled_bandwidth_does_not_raise_the_peak(self):
+        # above 1000 pooled rows the median heuristic forms the distances of
+        # 1000 strided rows; they are freed before the pooled matrix is built
+        rng = np.random.default_rng(63)
+        X, Y = rng.standard_normal((600, 2)), rng.standard_normal((500, 2)) + 0.2
+        cfg = MmdConfig(permutations=100, seed=0)
+        res = permutation_test(X, Y, cfg)
+        assert res.bandwidth == median_heuristic(X, Y)
+        tracemalloc.start()
+        try:
+            assert permutation_test(X, Y, cfg) == res
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 1100 * 1100 * 8
+
 
 class TestScaleInvariance:
     """Rows scaled by a power of two give the same test, at any finite scale."""

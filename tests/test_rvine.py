@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from vineshift.errors import (DegenerateDataError, InsufficientDataError,
                               StructureError)
-from vineshift import rvine
-from vineshift.bicopula import IndependenceCopula
+from vineshift import adapt, rvine
+from vineshift.dataio import Dataset
+from vineshift.mmd import MmdConfig
+from vineshift.bicopula import GaussianCopula, IndependenceCopula, KernelCopula
 from vineshift.regress import predict_means
 from vineshift.rvine import (VineEdge, VineModel, VineTree, base_samples, build_first_tree,
                              build_next_tree, fit_vine,
@@ -133,17 +136,20 @@ def scan_prim(weights, valid=None, edge_key=None):
     return edges
 
 
-def recursive_conditional_cdf(model, var, value, conditioning=None):
+def recursive_conditional(model, var, value, conditioning=None):
     """The recursion VineModel.conditional_cdf ran before walk served it.
 
-    Kept unchanged as the oracle for walk's arguments and for
-    conditional_cdf: it searches each tree for the edge whose h-function
-    gives F(j | S) instead of reading walk's keys.
+    Kept as the oracle for walk's arguments and for conditional_cdf: it
+    searches each tree for the edge whose h-function gives F(j | S)
+    instead of reading walk's keys. It runs on the model's walk scale,
+    so a vine that walks on normal scores gets the score of F(j | S),
+    from the marginals' scores and the copulas' score methods.
     """
+    scores = model.on_scores
     cond = dict(conditioning or {})
     if var in cond:
         raise ValueError("query variable cannot appear in the conditioning set")
-    base = {int(i): float(model.marginals[i].cdf(x))
+    base = {int(i): float((model.marginals[i].score if scores else model.marginals[i].cdf)(x))
             for i, x in {var: value, **cond}.items()}
     memo: dict = {}
 
@@ -158,15 +164,16 @@ def recursive_conditional_cdf(model, var, value, conditioning=None):
         result = None
         for edge in model.trees[len(S) - 1].edges:
             a, b = edge.conditioned
+            cop = edge.copula
             if a == j and b in S and edge.conditioning == S - {b}:
                 u = rec(j, S - {b})
                 v = rec(b, S - {b})
-                result = float(edge.copula.cdf_u_given_v(u, v))
+                result = float((cop.score_u_given_v if scores else cop.cdf_u_given_v)(u, v))
                 break
             if b == j and a in S and edge.conditioning == S - {a}:
                 u = rec(a, S - {a})
                 v = rec(j, S - {a})
-                result = float(edge.copula.cdf_v_given_u(u, v))
+                result = float((cop.score_v_given_u if scores else cop.cdf_v_given_u)(u, v))
                 break
         if result is None:
             raise StructureError(
@@ -175,6 +182,23 @@ def recursive_conditional_cdf(model, var, value, conditioning=None):
         return result
 
     return rec(int(var), frozenset(int(i) for i in cond))
+
+
+def recursive_conditional_cdf(model, var, value, conditioning=None):
+    """The oracle's F(var | conditioning) as a probability."""
+    got = recursive_conditional(model, var, value, conditioning)
+    return float(ndtr(got)) if model.on_scores else got
+
+
+def walk_on_scale(model, U):
+    """walk over model's trees from pseudo-observations U, on the model's scale."""
+    scores = model.on_scores
+    return walk(model.trees, base_samples(ndtri(U) if scores else U), scores=scores)
+
+
+def edge_log_density(edge, s1, s2, scores):
+    cop = edge.copula
+    return (cop.log_density_scores if scores else cop.log_density)(s1, s2)
 
 
 class TestPrimMaxSpanningTree:
@@ -478,13 +502,13 @@ class TestFitVine:
         X = gaussian_copula_chain(150, 6, rho=0.6, rng=rng).X
         walked, written = rvine.walk, []
 
-        def recording_walk(trees, F, reads=None):
+        def recording_walk(trees, F, reads=None, scores=False):
             def logged(key):
                 if reads(key):
                     written.append(key)
                     return True
                 return False
-            return walked(trees, F, logged)
+            return walked(trees, F, logged, scores)
 
         monkeypatch.setattr(rvine, "walk", recording_walk)
         model = fit_vine(X, truncation=4, family=family)
@@ -664,16 +688,17 @@ class TestWalk:
         rows[[0, 41, 42, 149]] = True
         P = U.copy()
         P[rows, poisoned] = np.nan
-        walked = list(walk(model.trees, base_samples(P)))
-        reference = list(walk(model.trees, base_samples(U[~rows])))
+        walked = list(walk_on_scale(model, P))
+        reference = list(walk_on_scale(model, U[~rows]))
         assert len(walked) == len(reference) == 4 + 3 + 2
         for (edge, s1, s2), (_, r1, r2) in zip(walked, reference):
             nan_rows = np.isnan(s1) | np.isnan(s2)
             assert np.array_equal(nan_rows, rows if poisoned in edge.constraint
                                   else np.zeros(150, dtype=bool))
             assert np.array_equal(s1[~rows], r1) and np.array_equal(s2[~rows], r2)
-            assert np.array_equal(edge.copula.log_density(s1, s2)[~rows],
-                                  edge.copula.log_density(r1, r2))
+            scores = model.on_scores
+            assert np.array_equal(edge_log_density(edge, s1, s2, scores)[~rows],
+                                  edge_log_density(edge, r1, r2, scores))
 
     def test_copula_substitution(self):
         # replacing a T1 copula changes the samples fed to its children
@@ -702,16 +727,19 @@ class TestWalk:
         ds = gaussian_copula_chain(150, 5, rho=0.6, rng=rng)
         model = fit_vine(ds.X * scale + shift, truncation=3, family=family)
         X = gaussian_copula_chain(4, 5, rho=0.6, rng=rng).X * scale + shift
-        F = {(i, frozenset()): m.cdf(X[:, i]) for i, m in enumerate(model.marginals)}
+        scores = model.on_scores
+        assert scores == (family == "gaussian")
+        F = {(i, frozenset()): (m.score if scores else m.cdf)(X[:, i])
+             for i, m in enumerate(model.marginals)}
         seen = 0
-        for edge, s1, s2 in walk(model.trees, F):
+        for edge, s1, s2 in walk(model.trees, F, scores=scores):
             D = edge.conditioning
             for v, sample in zip(edge.conditioned, (s1, s2)):
-                expect = [recursive_conditional_cdf(model, v, x[v], {i: x[i] for i in D})
+                expect = [recursive_conditional(model, v, x[v], {i: x[i] for i in D})
                           for x in X]
                 assert_allclose(sample, expect, rtol=1e-12)
-                assert [model.conditional_cdf(v, x[v], {i: x[i] for i in D})
-                        for x in X] == expect
+                assert [model.conditional_cdf(v, x[v], {i: x[i] for i in D}) for x in X] == \
+                    [recursive_conditional_cdf(model, v, x[v], {i: x[i] for i in D}) for x in X]
             seen += 1
         assert seen == 4 + 3 + 2
 
@@ -774,6 +802,102 @@ class TestWalk:
         assert all(held <= {lvl, lvl + 1} for held, lvl in
                    zip(levels, [0] * 3 + [1] * 2 + [2]))
         assert F == {}
+
+
+def gaussian_three(r01=0.6, r12=0.7, r02_1=0.5):
+    """A hand-built Gaussian vine on 3 standard-normal marginals, and its correlation matrix.
+
+    A kernel marginal with one centre at 0 and bandwidth 1 is Phi, so
+    its normal score at x is x.
+    """
+    nodes = [frozenset([i]) for i in range(3)]
+    first = [VineEdge((0, 1), frozenset(), (0, 1), GaussianCopula(r01)),
+             VineEdge((1, 2), frozenset(), (1, 2), GaussianCopula(r12))]
+    second = [VineEdge((0, 2), frozenset([1]), (0, 1), GaussianCopula(r02_1))]
+    trees = [VineTree(1, nodes, first), VineTree(2, [e.constraint for e in first], second)]
+    model = VineModel([GaussianKernel1D([0.0], 1.0) for _ in range(3)], trees, list("abc"))
+    r02 = r02_1 * np.sqrt((1 - r01**2) * (1 - r12**2)) + r01 * r12
+    return model, np.array([[1.0, r01, r02], [r01, 1.0, r12], [r02, r12, 1.0]])
+
+
+class TestNormalScoreWalk:
+    """A vine of Gaussian and independence copulas walks on normal scores."""
+
+    def test_the_scale_follows_the_families(self):
+        X = gaussian_copula_chain(60, 3, 0.5, np.random.default_rng(80)).X
+        gauss, kernel = fit_vine(X, truncation=2, family="gaussian"), fit_vine(X, truncation=2)
+        assert gauss.on_scores and not kernel.on_scores
+        gauss.trees[1].edges[0].copula = IndependenceCopula()
+        assert gauss.on_scores
+        gauss.trees[0].edges[0].copula = kernel.trees[0].edges[0].copula
+        assert not gauss.on_scores
+        assert path_model().on_scores
+
+    def test_far_tail_log_density_is_the_trivariate_normal_copula(self):
+        # scores out to +-6.2 travel through the walk without becoming
+        # probabilities; walked as probabilities, a cdf near 1 loses up to
+        # 2e-7 of log c on this grid (2.8e-8 at (4.5, 5.5, 6.2))
+        model, R = gaussian_three()
+        grid = np.array([-6.2, -5.5, -4.5, -2.0, 0.0, 1.0, 4.5, 5.5, 6.2])
+        Z = np.array(list(itertools.product(grid, repeat=3)))
+        # keep the points whose conditional scores stay inside the clip
+        h01 = (Z[:, 0] - 0.6 * Z[:, 1]) / np.sqrt(1 - 0.36)
+        h21 = (Z[:, 2] - 0.7 * Z[:, 1]) / np.sqrt(1 - 0.49)
+        Z = Z[(np.abs(h01) < 6.3) & (np.abs(h21) < 6.3)]
+        assert len(Z) > 200 and [4.5, 5.5, 6.2] in Z.tolist() and [-4.5, -5.5, -6.2] in Z.tolist()
+        marginals = sum(m.logpdf(Z[:, i]) for i, m in enumerate(model.marginals))
+        copula = model.log_density(Z) - marginals
+        quad = np.einsum("ri,ij,rj->r", Z, np.linalg.inv(R) - np.eye(3), Z)
+        expect = -0.5 * np.log(np.linalg.det(R)) - 0.5 * quad
+        assert np.abs(copula - expect).max() <= 1e-12
+
+    def test_far_tail_conditional_cdf_keeps_the_upper_tail(self):
+        # F(2 | 0, 1) near 1 is Phi of the exact score, not a rounded probability
+        model, R = gaussian_three()
+        x = np.array([4.5, 5.5, 6.2])
+        S = R[2, :2] @ np.linalg.inv(R[:2, :2])
+        mean, var = S @ x[:2], R[2, 2] - S @ R[:2, 2]
+        got = model.conditional_cdf(2, x[2], {0: x[0], 1: x[1]})
+        assert_allclose(got, ndtr((x[2] - mean) / np.sqrt(var)), rtol=1e-14)
+        assert_allclose(model.conditional_cdf(2, -x[2], {0: -x[0], 1: -x[1]}),
+                        ndtr((-x[2] + mean) / np.sqrt(var)), rtol=1e-12)
+
+    def test_walks_on_scores_and_on_probabilities_agree(self):
+        # the same Gaussian vine walked both ways: every argument is Phi of
+        # its score, and the log copula densities agree in the body
+        rng = np.random.default_rng(81)
+        ds = gaussian_copula_chain(200, 5, rho=0.6, rng=rng)
+        model = fit_vine(ds.X, truncation=4, family="gaussian")
+        U = np.column_stack([rank_pseudo_observations(c) for c in ds.X.T])
+        on_scores = list(walk(model.trees, base_samples(ndtri(U)), scores=True))
+        on_probabilities = list(walk(model.trees, base_samples(U)))
+        assert len(on_scores) == len(on_probabilities) == 4 + 3 + 2 + 1
+        for (edge, z1, z2), (_, u1, u2) in zip(on_scores, on_probabilities):
+            assert_allclose(ndtr(z1), u1, rtol=1e-12)
+            assert_allclose(ndtr(z2), u2, rtol=1e-12)
+            assert_allclose(edge.copula.log_density_scores(z1, z2),
+                            edge.copula.log_density(u1, u2), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("family", ["kernel", "gaussian"])
+    def test_fit_score_and_adapt_walk_on_the_scale_of_their_family(self, family, monkeypatch):
+        X = gaussian_copula_chain(80, 4, 0.6, np.random.default_rng(82)).X
+        walked, scales = rvine.walk, []
+
+        def recorded(trees, F, reads=None, scores=False):
+            scales.append(scores)
+            return walked(trees, F, reads, scores)
+
+        monkeypatch.setattr(rvine, "walk", recorded)
+        monkeypatch.setattr(adapt, "walk", recorded)
+        names = ["a", "b", "c", "y"]
+        model = fit_vine(X, truncation=3, family=family, variable_names=names, target_index=3)
+        model.log_density(X[:5])
+        model.conditional_cdf(0, 0.1, {1: 0.2})
+        adapted, _ = adapt.adapt_vine(model, adapt.AdaptationInput(
+            source=Dataset(names, X), target_labeled=Dataset(names, X[:30] + 0.5),
+            target_unlabeled=None, target_index=3, mmd_config=MmdConfig(permutations=50)))
+        assert adapted.on_scores == model.on_scores == (family == "gaussian")
+        assert scales == [family == "gaussian"] * 6
 
 
 class TestGuards:

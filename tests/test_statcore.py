@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
+from scipy.special import ndtr, ndtri
 
 import vineshift
 from vineshift import statcore
@@ -26,6 +27,11 @@ from vineshift.statcore import (GaussianKernel1D, kendall_tau,
 PHI_0 = 0.3989422804014327
 PHI_1 = 0.24197072451914335
 NCDF_1 = 0.8413447460685429
+
+
+def exact_cdf(m, x):
+    """Phi of the exact normal score: the cdf of a query that takes no table."""
+    return ndtr(m._exact_score(x))
 
 
 class TestSilvermanBandwidth:
@@ -132,7 +138,7 @@ class TestGaussianKernel1D:
         m = GaussianKernel1D(centers=1e6 + 1e-9 * (np.arange(1000) % 10), bandwidth=1e-10)
         assert m._score_table is None
         x = 1e6 + np.linspace(-2e-9, 11e-9, 201)
-        assert_array_equal(m.cdf(x), m._exact_cdf(x))
+        assert_array_equal(m.cdf(x), exact_cdf(m, x))
         q = m.quantile([0.05, 0.5, 0.95])
         assert np.all((q > 1e6 - 1e-9) & (q < 1e6 + 1e-8))
 
@@ -168,7 +174,7 @@ class TestGaussianKernel1D:
 
 
 class TestNormalScoreTable:
-    """cdf interpolates a table of Phi^-1(F); _exact_cdf is the reference."""
+    """cdf interpolates a table of Phi^-1(F); Phi of the exact score is the reference."""
 
     @pytest.mark.parametrize("n", [150, 600, 4000])
     @pytest.mark.parametrize("kind", ["normal", "exponential"])
@@ -179,7 +185,7 @@ class TestNormalScoreTable:
         assert m._score_table is not None
         h = m.bandwidth
         x = np.concatenate([np.linspace(c.min() - 12 * h, c.max() + 12 * h, 6001), c[:500]])
-        got, exact = m.cdf(x), m._exact_cdf(x)
+        got, exact = m.cdf(x), exact_cdf(m, x)
         err = np.abs(got - exact)
         assert err.max() <= 2e-6
         lower = exact < 0.5
@@ -213,8 +219,8 @@ class TestNormalScoreTable:
         m = GaussianKernel1D(centers=centers, bandwidth=bandwidth)
         assert m._score_table is None
         x = np.concatenate([np.linspace(-8.0, 8.0, 401), [np.inf, -np.inf, np.nan, 500.1]])
-        assert m.cdf(x).tobytes() == m._exact_cdf(x).tobytes()
-        assert m.cdf(0.25) == m._exact_cdf(0.25)
+        assert m.cdf(x).tobytes() == exact_cdf(m, x).tobytes()
+        assert m.cdf(0.25) == exact_cdf(m, 0.25)
 
     @pytest.mark.parametrize("n", [3, 300])
     def test_infinities_and_nan(self, n):
@@ -242,6 +248,59 @@ class TestNormalScoreTable:
             m.quantile([0.2, 0.7])
         m.logpdf([0.0, 1.0])
         assert builds == [a, b]
+
+
+class TestNormalScore:
+    """score is Phi^-1 of the cdf, and cdf is Phi of score, bit for bit."""
+
+    @pytest.fixture(params=["table", "no-table"])
+    def marginal(self, request):
+        rng = np.random.default_rng(55)
+        if request.param == "table":
+            m = GaussianKernel1D.fit(rng.exponential(size=400))
+            assert m._score_table is not None
+        else:
+            m = GaussianKernel1D.fit(rng.standard_normal(30))
+            assert m._score_table is None
+        return m
+
+    def queries(self, m):
+        h, c = m.bandwidth, m.centers
+        return np.concatenate([np.linspace(c.min() - 20 * h, c.max() + 20 * h, 3001), c,
+                               [np.inf, -np.inf, np.nan]])
+
+    def test_cdf_is_phi_of_the_score_on_the_grid_and_off_it(self, marginal):
+        x = self.queries(marginal)
+        if marginal._score_table is not None:
+            nodes = marginal._score_table[0]
+            outside = (x < nodes[0]) | (x > nodes[-1])
+            assert 100 < outside.sum() < x.size - 100
+        assert ndtr(marginal.score(x)).tobytes() == marginal.cdf(x).tobytes()
+        assert float(ndtr(marginal.score(0.3))) == marginal.cdf(0.3)
+
+    def test_exact_score_reads_the_survival_sum_right_of_the_median(self, marginal):
+        x = self.queries(marginal)
+        x = x[np.isfinite(x)]
+        c, h = marginal.centers, marginal.bandwidth
+        upper = x > np.median(c)
+        sf = ndtr((c - x[upper, None]) / h).sum(axis=1) / c.size
+        cdf = ndtr((x[~upper, None] - c) / h).sum(axis=1) / c.size
+        exact = marginal._exact_score(x)
+        assert_array_equal(exact[upper], -ndtri(sf))
+        assert_array_equal(exact[~upper], ndtri(cdf))
+        # far right the cdf rounds to 1, but the score keeps the tail
+        far = c.max() + 12 * h
+        assert marginal.cdf(far) == 1.0
+        assert marginal._exact_score(far) == -ndtri(ndtr((c - far) / h).sum() / c.size) > 8.0
+        if marginal._score_table is None:
+            assert_array_equal(marginal.score(x), exact)
+
+    def test_a_query_does_not_depend_on_its_batch(self, marginal):
+        x = self.queries(marginal)[:-3:7]
+        x = np.concatenate([x[:x.size // 3 * 3], [np.inf, -np.inf, np.nan]])
+        batch = marginal.score(x)
+        assert batch.tobytes() == np.array([marginal.score(xi) for xi in x]).tobytes()
+        assert_array_equal(marginal.score(x.reshape(-1, 3)), batch.reshape(-1, 3))
 
 
 class TestKernelSumBlocks:
@@ -291,10 +350,12 @@ def _elementwise_methods():
     u, v = rank_pseudo_observations(x), rank_pseudo_observations(x + rng.standard_normal(80))
     kern = GaussianKernel1D.fit(x)
     out = [pytest.param(getattr(kern, name), 1, id=f"GaussianKernel1D.{name}")
-           for name in ("pdf", "logpdf", "cdf", "quantile")]
+           for name in ("pdf", "logpdf", "score", "cdf", "quantile")]
+    scores = ("log_density_scores", "score_u_given_v", "score_v_given_u")
     for cop in (KernelCopula.fit(u, v), GaussianCopula.fit(u, v), IndependenceCopula()):
         out += [pytest.param(getattr(cop, name), 2, id=f"{type(cop).__name__}.{name}")
-                for name in ("log_density", "density", "cdf_u_given_v", "cdf_v_given_u")]
+                for name in ("log_density", "density", "cdf_u_given_v", "cdf_v_given_u",
+                             *(scores if hasattr(cop, scores[0]) else ()))]
     return out
 
 

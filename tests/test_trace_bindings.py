@@ -87,3 +87,43 @@ def test_predict_and_score_keep_their_spans_and_marginal_work():
     assert tracer.children("rvine.log_density", "bicopula.log_density") == len(edges)
     assert tracer.counts["statcore.kernel1d.calls"] == 2 * d
     assert tracer.counts["statcore.kernel1d.kernel_evals"] == 2 * d * m * n
+
+
+def test_kernel_vines_keep_their_traced_copula_calls():
+    # a vine that holds a kernel copula walks on probabilities through the
+    # traced KernelCopula methods, which the benchmark's h-function spans read
+    spans = load_spans()
+    src, tgt = marginal_shift_pair(100, 4, 0.6, np.random.default_rng(3), shift_col=0, shift=1.0)
+    grid = regress.YGrid(np.linspace(-3.0, 3.0, 40))
+    inp = adapt.AdaptationInput(source=src, target_labeled=Dataset(src.names, tgt.X[:30]),
+                                target_unlabeled=None, target_index=3,
+                                mmd_config=MmdConfig(permutations=50, seed=0))
+    stages = {
+        "fit": lambda: rvine.fit_vine(src.X, truncation=2, variable_names=src.names,
+                                      target_index=3),
+        "score": lambda: vine.log_density(tgt.X[:10]),
+        "predict": lambda: regress.predict_means(vine, tgt.X[:10, :3], grid),
+        "adapt": lambda: adapt.adapt_vine(vine, inp),
+    }
+    for stage, run in stages.items():
+        with spans.installed(spans.Tracer("bindings")) as tracer:
+            result = run()
+        if stage == "fit":
+            vine = result
+            assert not vine.on_scores
+        # fit and adapt compute h-values only; score and predict also log c
+        assert tracer.counts["bicopula.h.calls"] > 0, stage
+        assert (tracer.counts["bicopula.log_density.calls"] > 0) == (stage in ("score", "predict"))
+
+
+def test_gaussian_fit_shows_one_tau_call_per_pair_fit():
+    # the walk carries normal scores, and each Gaussian pair fit still
+    # calls kendall_tau once, through bicopula's own binding
+    spans = load_spans()
+    X = np.random.default_rng(4).standard_normal((60, 6))
+    with spans.installed(spans.Tracer("bindings")) as tracer:
+        vine = rvine.fit_vine(X, truncation=5, family="gaussian")
+    fits = tracer.counts["bicopula.fit.calls"]
+    assert vine.on_scores and fits == 5 + 4 + 3 + 2 + 1
+    assert tracer.children("bicopula.fit", "statcore.kendall_tau") == fits
+    assert tracer.counts["bicopula.h.calls"] == 0
