@@ -77,6 +77,12 @@ class FactorDecision:
     tested: bool = True
     # changed but too few target rows to refit alone; pooled despite the verdict
     fallback: bool = False
+    # what the test measured: MMD^2, its bandwidth in data units, and the
+    # rows on each side; an untested factor keeps these defaults
+    statistic: float = float("nan")
+    bandwidth: float = float("nan")
+    n_source: int = 0
+    n_target: int = 0
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,9 @@ def adapt_vine(source_vine: VineModel, inp: AdaptationInput):
                              f"(<{MIN_REFIT}); refit from pooled data instead")
         decisions.append(FactorDecision(fid, res.p_value, res.rejected,
                                         "target_only" if alone else "pooled",
-                                        fallback=fallback))
+                                        fallback=fallback, statistic=res.statistic,
+                                        bandwidth=res.bandwidth, n_source=src.shape[0],
+                                        n_target=n))
         return alone
 
     # -- marginals -----------------------------------------------------------

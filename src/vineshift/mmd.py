@@ -5,10 +5,13 @@ permutation loop is expressed as one matrix product against a bank of
 relabeling indicator vectors, which keeps 200 permutations at n=1000
 within a fraction of a second while remaining exactly equal to the
 naive per-permutation evaluation. A test forms one pooled distance
-matrix: the median-heuristic bandwidth is read from it, and the kernel
-is then built in its memory. Above 1000 pooled rows the bandwidth comes
-from a strided subsample's own distances, computed before the pooled
-matrix is formed, so the peak stays at two pooled-size buffers.
+matrix, built in place: the cross products are computed into it, and
+each block of rows is then overwritten with its distances. The
+median-heuristic bandwidth is read from it, through one copy of its
+upper triangle, and the kernel is then built in its memory. Above 1000
+pooled rows the bandwidth comes from a strided subsample's own
+distances, computed and freed before the pooled matrix is formed, so
+the peak stays at one pooled matrix plus the median's copy.
 
 The pooled rows are scaled by 2^-e, with e the binary exponent of their
 largest magnitude, before they are centred and squared, so that squared
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, require_integer
+from .statcore import row_blocks
 
 # Most pooled rows the median heuristic forms distances between.
 _MEDIAN_ROWS = 1000
@@ -94,9 +98,12 @@ def _sq_dists(Z: np.ndarray):
     Z = np.ldexp(Z, -e)
     Z -= Z.mean(axis=0)
     sq = (Z * Z).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    d2 -= 2.0 * Z @ Z.T  # a product of 2Z and Z.T; 2 * (Z @ Z.T) rounds differently
-    np.maximum(d2, 0.0, out=d2)
+    d2 = np.matmul(2.0 * Z, Z.T)  # a product of 2Z and Z.T; 2 * (Z @ Z.T) rounds differently
+    # each block of rows becomes fl(sq_i + sq_j) - 2 z_i.z_j in the product's memory
+    for blk in row_blocks(*d2.shape):
+        rows = d2[blk]
+        np.subtract(sq[blk, None] + sq[None, :], rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
     return d2, e
 
 

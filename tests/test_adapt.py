@@ -11,7 +11,7 @@ from vineshift.adapt import (MIN_REFIT, MIN_TEST, AdaptationInput,
 from vineshift.bicopula import IndependenceCopula
 from vineshift.dataio import Dataset
 from vineshift.errors import InsufficientDataError, SchemaError
-from vineshift.mmd import MmdConfig
+from vineshift.mmd import MmdConfig, permutation_test
 from vineshift.modelfile import model_to_doc
 from vineshift.rvine import fit_vine
 from vineshift.statcore import GaussianKernel1D
@@ -242,6 +242,8 @@ class TestSmallSampleHandling:
             assert not d.tested
             assert np.isnan(d.p_value)
             assert d.refit_from == "pooled"
+            assert np.isnan(d.statistic) and np.isnan(d.bandwidth)
+            assert (d.n_source, d.n_target) == (0, 0)
         assert len(report.warnings) == len(report.decisions)
 
     def test_changed_but_small_falls_back_to_pooled(self):
@@ -370,6 +372,28 @@ class TestOneWalk:
             target_unlabeled=Dataset(src.names[:3], tgt.X[40:, :3]), target_index=3,
             mode=mode, mmd_config=MmdConfig(permutations=50, seed=16)))
         assert len(calls) == 1
+
+
+class TestDecisionMeasurements:
+    def test_tested_marginals_keep_what_their_test_measured(self):
+        # a feature is tested on every target row, the target on the labeled ones
+        rng = np.random.default_rng(12)
+        src, tgt = marginal_shift_pair(200, 4, 0.6, rng, shift_col=1, shift=2.0)
+        cfg = MmdConfig(permutations=60, seed=12)
+        model = fit_source(src, truncation=1, target_index=3)
+        _, report = adapt_vine(model, AdaptationInput(
+            source=src, target_labeled=Dataset(src.names, tgt.X[:30]),
+            target_unlabeled=Dataset(src.names[:3], tgt.X[30:, :3]),
+            target_index=3, mode="semi_supervised", mmd_config=cfg))
+        dec = {d.factor_id: d for d in report.decisions}
+        assert dec["marginal(1)"].changed
+        for i, tgt_col in ((1, tgt.X[:, 1]), (3, tgt.X[:30, 3])):
+            fid = f"marginal({i})"
+            res = permutation_test(src.X[:, i], tgt_col, adapt._factor_config(cfg, fid))
+            d = dec[fid]
+            assert (d.statistic, d.p_value, d.changed, d.bandwidth) == \
+                (res.statistic, res.p_value, res.rejected, res.bandwidth)
+            assert (d.n_source, d.n_target) == (200, tgt_col.size)
 
 
 class TestReportConsistency:

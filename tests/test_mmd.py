@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from vineshift import cli
+from vineshift import cli, statcore
 from vineshift.dataio import Dataset
 from vineshift.errors import InsufficientDataError
-from vineshift.mmd import (MmdConfig, _relabelings, median_heuristic, mmd_statistic,
-                           permutation_test)
+from vineshift.mmd import (MmdConfig, _relabelings, _sq_dists, median_heuristic,
+                           mmd_statistic, permutation_test)
 
 
 def brute_mmd2(X, Y, bw):
@@ -264,36 +264,69 @@ class TestOneDistanceMatrix:
             S[rng.permutation(N)[:n], b] = 1.0
         assert np.array_equal(_relabelings(N, n, B, seed), S)
 
-    def test_warm_test_peak_allocation(self):
-        # the kernel is built in the distance matrix's memory and the median
-        # reads one copy of the upper triangle: two N x N buffers at the peak
-        rng = np.random.default_rng(62)
-        X, Y = rng.standard_normal((300, 2)), rng.standard_normal((250, 2)) + 0.2
-        cfg = MmdConfig(permutations=100, seed=0)
-        permutation_test(X, Y, cfg)
-        tracemalloc.start()
-        try:
-            permutation_test(X, Y, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * 550 * 550 * 8
-
-    def test_subsampled_bandwidth_does_not_raise_the_peak(self):
-        # above 1000 pooled rows the median heuristic forms the distances of
-        # 1000 strided rows; they are freed before the pooled matrix is built
-        rng = np.random.default_rng(63)
-        X, Y = rng.standard_normal((600, 2)), rng.standard_normal((500, 2)) + 0.2
-        cfg = MmdConfig(permutations=100, seed=0)
+    @staticmethod
+    def warm_peak(X, Y, cfg):
+        """tracemalloc's peak over a second permutation_test, and its result."""
         res = permutation_test(X, Y, cfg)
-        assert res.bandwidth == median_heuristic(X, Y)
         tracemalloc.start()
         try:
             assert permutation_test(X, Y, cfg) == res
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * 1100 * 1100 * 8
+        return peak, res
+
+    def test_warm_test_peak_allocation(self):
+        # the distances are finished in the product's memory, the kernel is
+        # built in theirs, and the median reads one copy of the upper
+        # triangle: 1.5 N x N buffers at the peak, where a full matrix of
+        # row sums beside the product made it 2.0
+        rng = np.random.default_rng(62)
+        X, Y = rng.standard_normal((300, 2)), rng.standard_normal((250, 2)) + 0.2
+        peak, _ = self.warm_peak(X, Y, MmdConfig(permutations=100, seed=0))
+        assert peak <= 1.6 * 550 * 550 * 8
+
+    def test_warm_test_peak_allocation_against_labeled_rows(self):
+        # 300 source rows against 13 labeled ones: a block of row sums holds
+        # statcore.BLOCK_ENTRIES entries, two thirds of this matrix, so the
+        # peak is the product plus one block, where a full matrix made it 2.0
+        rng = np.random.default_rng(64)
+        X, Y = rng.standard_normal((300, 1)), rng.standard_normal((13, 1)) + 0.2
+        peak, _ = self.warm_peak(X, Y, MmdConfig(permutations=100, seed=0))
+        assert peak <= 1.95 * 313 * 313 * 8
+
+    def test_subsampled_bandwidth_does_not_raise_the_peak(self):
+        # above 1000 pooled rows the median heuristic forms the distances of
+        # 1000 strided rows and copies their upper triangle; both are freed
+        # before the pooled matrix is built, so the peak is theirs, about
+        # 1.25 N x N buffers, where a full matrix of row sums made it 2.0
+        rng = np.random.default_rng(63)
+        X, Y = rng.standard_normal((600, 2)), rng.standard_normal((500, 2)) + 0.2
+        peak, res = self.warm_peak(X, Y, MmdConfig(permutations=100, seed=0))
+        assert res.bandwidth == median_heuristic(X, Y)
+        assert peak <= 1.35 * 1100 * 1100 * 8
+
+    @pytest.mark.parametrize("N", [313, 550, 1100])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_size_does_not_change_results(self, d, N, monkeypatch):
+        # each block of rows is finished on its own, so no block size moves a
+        # bit, and every entry is fl(fl(sq_i + sq_j) - 2 z_i.z_j) as when
+        # the sums and the product were two full matrices
+        rng = np.random.default_rng(65)
+        X, Y = rng.standard_normal((300, d)), rng.standard_normal((N - 300, d)) + 0.2
+        Z = np.vstack([X, Y])
+        e = int(np.frexp(np.abs(Z).max())[1])
+        W = np.ldexp(Z, -e)
+        W -= W.mean(axis=0)
+        sq = (W * W).sum(axis=1)
+        two_matrices = np.maximum(sq[:, None] + sq[None, :] - 2.0 * W @ W.T, 0.0)
+        cfg = MmdConfig(permutations=100, seed=d)
+        default = permutation_test(X, Y, cfg)
+        for entries in (1, statcore.BLOCK_ENTRIES, 10**8):
+            monkeypatch.setattr(statcore, "BLOCK_ENTRIES", entries)
+            d2, got_e = _sq_dists(Z)
+            assert got_e == e and np.array_equal(d2, two_matrices), entries
+            assert permutation_test(X, Y, cfg) == default, entries
 
 
 class TestScaleInvariance:
